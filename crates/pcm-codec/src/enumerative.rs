@@ -95,6 +95,7 @@ impl EnumerativeCode {
     /// Decode digits back to a group value. `None` when the digits encode
     /// a spare (out-of-range) codeword.
     pub fn decode_group(&self, digits: &[u8]) -> Option<u64> {
+        // pcm-lint: allow(no-panic-lib) — shape contract: callers pass exactly one group of `symbols` digits
         assert_eq!(digits.len(), self.symbols);
         let mut v = 0u64;
         for &d in digits.iter().rev() {

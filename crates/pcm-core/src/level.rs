@@ -184,6 +184,7 @@ impl LevelDesign {
         thresholds: &[f64],
         drift_switch: Option<DriftSwitch>,
     ) -> Self {
+        // pcm-lint: allow(no-panic-lib) — invariant: the built-in design tables pass one nominal per label
         assert_eq!(labels.len(), nominals.len());
         let occ = 1.0 / labels.len() as f64;
         let states = labels
@@ -204,7 +205,13 @@ impl LevelDesign {
     /// used by the mapping optimizer. Occupancies, labels, σR, write
     /// tolerance, and the drift switch are all preserved.
     pub fn with_mapping(&self, nominals: &[f64], thresholds: &[f64]) -> Result<Self, DesignError> {
-        assert_eq!(nominals.len(), self.states.len());
+        if nominals.len() != self.states.len() {
+            return Err(DesignError::Malformed(format!(
+                "{} nominals for {} states",
+                nominals.len(),
+                self.states.len()
+            )));
+        }
         let states = self
             .states
             .iter()

@@ -188,9 +188,11 @@ impl Histogram {
 
     /// Merge another histogram with identical geometry.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bins.len(), other.bins.len());
-        assert_eq!(self.lo, other.lo);
-        assert_eq!(self.hi, other.hi);
+        // pcm-lint: allow(no-panic-lib) — contract: bins of different geometries would silently misalign
+        assert!(
+            self.bins.len() == other.bins.len() && self.lo == other.lo && self.hi == other.hi,
+            "histogram geometry mismatch"
+        );
         for (a, b) in self.bins.iter_mut().zip(&other.bins) {
             *a += b;
         }

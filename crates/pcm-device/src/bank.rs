@@ -7,11 +7,11 @@
 //! and — crucially — its own deterministic RNG stream derived from
 //! `(device_seed, bank_id)` via [`pcm_core::rng::stream_seed`].
 //!
-//! Per-bank RNG streams are what make the concurrent engine
-//! ([`crate::concurrent::ShardedPcmDevice`]) bit-identical to the
-//! sequential [`crate::device::PcmDevice`]: a bank's outcomes depend only
-//! on the sequence of operations applied *to that bank*, never on how
-//! operations interleave across banks or which thread executed them.
+//! Per-bank RNG streams are what make the device engine
+//! ([`crate::concurrent::ShardedPcmDevice`]) bit-identical at any thread
+//! count: a bank's outcomes depend only on the sequence of operations
+//! applied *to that bank*, never on how operations interleave across
+//! banks or which thread executed them.
 
 use crate::array::CellArray;
 use crate::block::{BlockError, FourLevelBlock, ReadReport, ThreeLevelBlock, WriteReport};

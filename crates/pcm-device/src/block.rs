@@ -99,6 +99,7 @@ pub const THREE_LEVEL_BLOCK_CELLS: usize = 364;
 impl ThreeLevelBlock {
     /// Create a block over cells `[base, base + 364)` of the array.
     pub fn new(design: LevelDesign, base: usize) -> Self {
+        // pcm-lint: allow(no-panic-lib) — constructor contract: the builder pairs this block with a 3LC design
         assert_eq!(design.n_levels(), 3, "ThreeLevelBlock needs a 3LC design");
         Self {
             design,
@@ -127,6 +128,7 @@ impl ThreeLevelBlock {
         now: f64,
         data: &[u8],
     ) -> Result<WriteReport, BlockError> {
+        // pcm-lint: allow(no-panic-lib) — contract: the device rejects payloads that are not one block before locking a bank
         assert_eq!(data.len(), BLOCK_BYTES);
         let bits = BitVec::from_bytes(data, DATA_BITS);
         let mut new_faults = 0usize;
@@ -242,6 +244,7 @@ impl FourLevelBlock {
     /// Create a block over cells `[base, base + 306)`; `use_smart` enables
     /// the §5.1 smart encoding pass.
     pub fn new(design: LevelDesign, base: usize, use_smart: bool) -> Self {
+        // pcm-lint: allow(no-panic-lib) — constructor contract: the builder pairs this block with a 4LC design
         assert_eq!(design.n_levels(), 4, "FourLevelBlock needs a 4LC design");
         Self {
             design,
@@ -270,6 +273,7 @@ impl FourLevelBlock {
         now: f64,
         data: &[u8],
     ) -> Result<WriteReport, BlockError> {
+        // pcm-lint: allow(no-panic-lib) — contract: the device rejects payloads that are not one block before locking a bank
         assert_eq!(data.len(), BLOCK_BYTES);
         let bits = BitVec::from_bytes(data, DATA_BITS);
         let mut states = gray::encode_block(&bits);

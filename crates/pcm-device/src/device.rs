@@ -1,31 +1,20 @@
-//! The full PCM device: banks of blocks over per-bank cell arrays, with a
-//! global clock, byte-addressed read/write, wearout injection, and
-//! cumulative statistics.
+//! Device-wide vocabulary: the block organization a device is built
+//! with and its cumulative statistics.
 //!
-//! Device capacities here are configurable (tests use kilobytes, the
-//! repro harness megabytes); the paper's 16 GiB geometry is represented
+//! Device capacities are configurable (tests use kilobytes, the repro
+//! harness megabytes); the paper's 16 GiB geometry is represented
 //! analytically in `pcm_core::retention` — simulating every cell of 16 GiB
 //! is neither necessary nor useful, since blocks are statistically
 //! independent (see DESIGN.md §3).
 //!
-//! The device is a thin orchestration layer over [`PcmBank`] units
-//! (low-order block interleaving, like DDR rank/bank address maps). The
-//! same banks power the lock-sharded concurrent engine in
-//! [`crate::concurrent`]; construction goes through [`DeviceBuilder`].
+//! The engine itself is [`ShardedPcmDevice`](crate::concurrent::ShardedPcmDevice):
+//! [`PcmBank`](crate::bank::PcmBank) units behind per-bank locks with
+//! low-order block interleaving (like DDR rank/bank address maps),
+//! constructed through [`DeviceBuilder`](crate::builder::DeviceBuilder).
 
-use crate::bank::PcmBank;
-use crate::block::{BlockError, ReadReport, WriteReport, BLOCK_BYTES};
-use crate::builder::DeviceBuilder;
-use crate::causal::{self, CausalState};
 use crate::generic_block::GenericBlock;
-use crate::metrics::{self, DeviceMetrics};
-use crate::telemetry_hooks;
-use crate::trace_hooks;
 use pcm_codec::enumerative::EnumerativeCode;
 use pcm_core::level::LevelDesign;
-use pcm_telemetry::TelemetryRecorder;
-use pcm_trace::{Recorder, NO_CTX};
-use std::sync::Arc;
 
 /// Which block organization a device uses.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,425 +91,22 @@ impl DeviceStats {
     }
 }
 
-/// A functional PCM device (sequential engine).
-///
-/// Construct via [`PcmDevice::builder`]. For many-threaded access, build
-/// the lock-sharded variant with
-/// [`DeviceBuilder::build_sharded`](crate::builder::DeviceBuilder::build_sharded);
-/// both engines produce bit-identical results for the same seed and
-/// per-bank operation order.
-pub struct PcmDevice {
-    banks: Vec<PcmBank>,
-    now: f64,
-    metrics: Arc<DeviceMetrics>,
-    trace: Recorder,
-    telemetry: Option<Arc<TelemetryRecorder>>,
-    causal: Arc<CausalState>,
-}
-
-impl PcmDevice {
-    /// Start configuring a device.
-    pub fn builder() -> DeviceBuilder {
-        DeviceBuilder::new()
-    }
-
-    pub(crate) fn from_banks(
-        banks: Vec<PcmBank>,
-        now: f64,
-        metrics: Arc<DeviceMetrics>,
-        trace: Recorder,
-        telemetry: Option<Arc<TelemetryRecorder>>,
-        causal: Arc<CausalState>,
-    ) -> Self {
-        debug_assert_eq!(metrics.banks(), banks.len());
-        Self {
-            banks,
-            now,
-            metrics,
-            trace,
-            telemetry,
-            causal,
-        }
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_banks(
-        self,
-    ) -> (
-        Vec<PcmBank>,
-        f64,
-        Arc<DeviceMetrics>,
-        Recorder,
-        Option<Arc<TelemetryRecorder>>,
-        Arc<CausalState>,
-    ) {
-        (
-            self.banks,
-            self.now,
-            self.metrics,
-            self.trace,
-            self.telemetry,
-            self.causal,
-        )
-    }
-
-    /// Next demand correlation id for `bank` — [`NO_CTX`] when tracing
-    /// is disabled, so untraced runs never touch the counters.
-    fn demand_ctx(&self, bank: usize) -> u64 {
-        if self.trace.is_enabled() {
-            self.causal.next_demand(bank)
-        } else {
-            NO_CTX
-        }
-    }
-
-    /// The observability registry: per-bank atomic counters and latency
-    /// histograms, updated on every operation. Shared with (and carried
-    /// through conversions to) the sharded engine.
-    pub fn metrics(&self) -> &DeviceMetrics {
-        &self.metrics
-    }
-
-    /// The event recorder: disabled (one branch per op) unless the
-    /// device was built with
-    /// [`DeviceBuilder::trace`](crate::builder::DeviceBuilder::trace).
-    /// Shared with (and carried through conversions to) the sharded
-    /// engine, like the metrics registry.
-    pub fn tracer(&self) -> &Recorder {
-        &self.trace
-    }
-
-    /// The telemetry recorder: `None` unless the device was built with
-    /// [`DeviceBuilder::telemetry`](crate::builder::DeviceBuilder::telemetry).
-    /// Shared with (and carried through conversions to) the sharded
-    /// engine, like the metrics registry and the tracer.
-    pub fn telemetry(&self) -> Option<&Arc<TelemetryRecorder>> {
-        self.telemetry.as_ref()
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.blocks() * BLOCK_BYTES
-    }
-
-    /// Number of blocks.
-    pub fn blocks(&self) -> usize {
-        self.banks.iter().map(PcmBank::blocks).sum()
-    }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Bank owning a block (low-order interleaving, like DDR rank/bank
-    /// address maps).
-    pub fn bank_of(&self, block: usize) -> usize {
-        block % self.banks.len()
-    }
-
-    /// Current device time, seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Advance the global clock (drift accrues on every written cell).
-    pub fn advance_time(&mut self, secs: f64) {
-        // pcm-lint: allow(no-panic-lib) — contract: simulated time is monotone; a negative step is a scheduler bug
-        assert!(secs >= 0.0, "time flows forward");
-        self.now += secs;
-        telemetry_hooks::poll_telemetry(
-            self.telemetry.as_ref(),
-            self.now,
-            &self.metrics,
-            &self.trace,
-        );
-    }
-
-    /// Cumulative statistics, aggregated across banks.
-    pub fn stats(&self) -> DeviceStats {
-        let mut total = DeviceStats::default();
-        for b in &self.banks {
-            total.accumulate(&b.stats());
-        }
-        total
-    }
-
-    /// Per-bank statistics, indexed by bank id.
-    pub fn bank_stats(&self) -> Vec<DeviceStats> {
-        self.banks.iter().map(PcmBank::stats).collect()
-    }
-
-    fn locate(&self, block: usize) -> (usize, usize) {
-        (block % self.banks.len(), block / self.banks.len())
-    }
-
-    /// Write 64 bytes to a block.
-    pub fn write_block(&mut self, block: usize, data: &[u8]) -> Result<WriteReport, BlockError> {
-        let ctx = self.demand_ctx(self.bank_of(block));
-        self.write_block_inner(block, data, ctx)
-    }
-
-    fn write_block_inner(
-        &mut self,
-        block: usize,
-        data: &[u8],
-        ctx: u64,
-    ) -> Result<WriteReport, BlockError> {
-        let (bank, local) = self.locate(block);
-        let now = self.now;
-        let cells = self.banks[bank].cells_per_block() as u64;
-        let r = self.banks[bank].write(local, now, data);
-        match &r {
-            Ok(rep) => self.metrics.bank(bank).record_write(
-                rep.new_faults as u64,
-                metrics::write_busy_ns(rep.attempts, cells),
-            ),
-            Err(_) => self.metrics.bank(bank).record_failure(),
-        }
-        trace_hooks::write_event(
-            &self.trace,
-            bank,
-            block,
-            now,
-            cells,
-            match &r {
-                Ok(rep) => Ok((rep.attempts, rep.new_faults as u64)),
-                Err(e) => Err(trace_hooks::block_error_code(e)),
-            },
-            ctx,
-        );
-        r
-    }
-
-    /// Read 64 bytes from a block.
-    pub fn read_block(&mut self, block: usize) -> Result<ReadReport, BlockError> {
-        let ctx = self.demand_ctx(self.bank_of(block));
-        self.read_block_inner(block, ctx)
-    }
-
-    fn read_block_inner(&mut self, block: usize, ctx: u64) -> Result<ReadReport, BlockError> {
-        let (bank, local) = self.locate(block);
-        let now = self.now;
-        let r = self.banks[bank].read(local, now);
-        match &r {
-            Ok(rep) => self
-                .metrics
-                .bank(bank)
-                .record_read(rep.corrected_bits as u64, metrics::READ_BUSY_NS),
-            Err(_) => self.metrics.bank(bank).record_failure(),
-        }
-        trace_hooks::read_event(
-            &self.trace,
-            bank,
-            block,
-            now,
-            match &r {
-                Ok(rep) => Ok(rep.corrected_bits as u64),
-                Err(e) => Err(trace_hooks::block_error_code(e)),
-            },
-            ctx,
-        );
-        r
-    }
-
-    /// [`PcmDevice::write_block`] with a caller-supplied correlation id
-    /// (e.g. a KV request's). Drains the bank's accumulated scrub debt
-    /// first, emitting it as a `scrub_stall` span under the caller's
-    /// ctx, and returns the drained wait alongside the report. Plain
-    /// ops never drain, so debt only surfaces on attributed requests.
-    pub fn write_block_ctx(
-        &mut self,
-        block: usize,
-        data: &[u8],
-        ctx: u64,
-    ) -> Result<(WriteReport, u64), BlockError> {
-        let bank = self.bank_of(block);
-        let wait_ns = self.drain_debt(bank, block, ctx);
-        self.write_block_inner(block, data, ctx)
-            .map(|r| (r, wait_ns))
-    }
-
-    /// [`PcmDevice::read_block`] with a caller-supplied correlation id;
-    /// same scrub-debt drain semantics as
-    /// [`PcmDevice::write_block_ctx`].
-    pub fn read_block_ctx(
-        &mut self,
-        block: usize,
-        ctx: u64,
-    ) -> Result<(ReadReport, u64), BlockError> {
-        let bank = self.bank_of(block);
-        let wait_ns = self.drain_debt(bank, block, ctx);
-        self.read_block_inner(block, ctx).map(|r| (r, wait_ns))
-    }
-
-    /// Drain `bank`'s scrub debt at issue time and emit the stall span.
-    fn drain_debt(&mut self, bank: usize, block: usize, ctx: u64) -> u64 {
-        if !self.trace.is_enabled() {
-            return 0;
-        }
-        let wait_ns = self.causal.take_debt(bank);
-        trace_hooks::scrub_stall_event(&self.trace, bank, block, self.now, wait_ns, ctx);
-        wait_ns
-    }
-
-    /// Refresh (scrub) one block: read, correct, rewrite — the §1
-    /// mechanism ("for every cell, at least once per refresh period, we
-    /// read, correct if needed, and re-write"). A directly-issued
-    /// refresh is a demand op and gets a demand correlation id; the
-    /// scrub walkers call [`PcmDevice::refresh_block_ctx`] with the
-    /// owning pass's id instead.
-    pub fn refresh_block(&mut self, block: usize) -> Result<(), BlockError> {
-        let bank = self.bank_of(block);
-        let ctx = self.demand_ctx(bank);
-        self.refresh_block_ctx(block, ctx)
-    }
-
-    /// [`PcmDevice::refresh_block`] with an explicit correlation id
-    /// (the scrub pass the refresh belongs to). A successful refresh
-    /// also deposits its busy window as scrub debt on the bank, to be
-    /// drained as a ready-queue stall by the next ctx-carrying demand
-    /// op (sharded engine) — observability only, never perturbs data.
-    pub(crate) fn refresh_block_ctx(&mut self, block: usize, ctx: u64) -> Result<(), BlockError> {
-        let (bank, local) = self.locate(block);
-        let now = self.now;
-        let r = self.banks[bank].refresh(local, now);
-        match &r {
-            Ok(corrected) => {
-                self.metrics
-                    .bank(bank)
-                    .record_scrub(*corrected, metrics::READ_BUSY_NS + metrics::WRITE_BUSY_NS);
-                if self.trace.is_enabled() {
-                    self.causal.add_debt(bank, causal::refresh_debt_ns());
-                }
-            }
-            Err(_) => self.metrics.bank(bank).record_failure(),
-        }
-        trace_hooks::refresh_event(
-            &self.trace,
-            bank,
-            block,
-            now,
-            r.as_ref()
-                .map(|_| ())
-                .map_err(trace_hooks::block_error_code),
-            ctx,
-        );
-        r.map(|_| ())
-    }
-
-    /// Copy one block's stored data onto another — the wear-leveling
-    /// migration primitive. Reads the source, then writes its data to
-    /// the destination; for the same seed and per-bank operation order
-    /// this is bit-identical to the sharded engine's
-    /// [`copy_block`](crate::concurrent::ShardedPcmDevice::copy_block).
-    pub fn copy_block(&mut self, src: usize, dst: usize) -> Result<WriteReport, BlockError> {
-        let rep = self.read_block(src)?;
-        self.write_block(dst, &rep.data)
-    }
-
-    /// Fault-injection hook: force a cell's lifetime. Cell indices use the
-    /// device-wide layout (block-major: block `b` owns cells
-    /// `[b*cells_per_block, (b+1)*cells_per_block)`).
-    pub fn inject_lifetime(&mut self, cell: usize, cycles: u64) {
-        let cpb = self.banks[0].cells_per_block();
-        let block = cell / cpb;
-        let within = cell % cpb;
-        let (bank, local_block) = self.locate(block);
-        self.banks[bank].set_lifetime(local_block * cpb + within, cycles);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcm_wearout::fault::EnduranceModel;
+    use crate::builder::DeviceBuilder;
+    use crate::concurrent::ShardedPcmDevice;
 
-    fn three_level_device(blocks: usize) -> PcmDevice {
-        PcmDevice::builder()
+    fn three_level_device(blocks: usize) -> ShardedPcmDevice {
+        DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(
                 LevelDesign::three_level_naive(),
             ))
             .blocks(blocks)
             .banks(4)
             .seed(77)
-            .build()
+            .build_sharded()
             .unwrap()
-    }
-
-    #[test]
-    fn multi_block_roundtrip() {
-        let mut dev = three_level_device(16);
-        assert_eq!(dev.capacity_bytes(), 1024);
-        for b in 0..16 {
-            let data: Vec<u8> = (0..64).map(|i| (b * 64 + i) as u8).collect();
-            dev.write_block(b, &data).unwrap();
-        }
-        for b in 0..16 {
-            let expect: Vec<u8> = (0..64).map(|i| (b * 64 + i) as u8).collect();
-            assert_eq!(dev.read_block(b).unwrap().data, expect);
-        }
-        assert_eq!(dev.stats().writes, 16);
-        assert_eq!(dev.stats().reads, 16);
-    }
-
-    #[test]
-    fn clock_advances_and_data_survives_years_on_3lc() {
-        let mut dev = three_level_device(8);
-        let data = vec![0xABu8; 64];
-        dev.write_block(3, &data).unwrap();
-        dev.advance_time(5.0 * pcm_core::params::SECS_PER_YEAR);
-        assert_eq!(dev.read_block(3).unwrap().data, data);
-    }
-
-    #[test]
-    fn refresh_restores_margins_on_4lc() {
-        let mut dev = PcmDevice::builder()
-            .organization(CellOrganization::FourLevel {
-                design: pcm_core::optimize::four_level_optimal().clone(),
-                smart: true,
-            })
-            .blocks(8)
-            .banks(4)
-            .seed(5)
-            .build()
-            .unwrap();
-        let data: Vec<u8> = (0..64).map(|i| i as u8 ^ 0x5A).collect();
-        dev.write_block(0, &data).unwrap();
-        // Refresh every 17 minutes for a simulated day: data must hold.
-        let interval = pcm_core::params::REFRESH_17MIN_SECS;
-        for _ in 0..20 {
-            dev.advance_time(interval);
-            dev.refresh_block(0).unwrap();
-        }
-        assert_eq!(dev.read_block(0).unwrap().data, data);
-        assert_eq!(dev.stats().refreshes, 20);
-    }
-
-    #[test]
-    fn unrefreshed_4lcn_dies_within_a_day() {
-        let mut dev = PcmDevice::builder()
-            .organization(CellOrganization::FourLevel {
-                design: LevelDesign::four_level_naive(),
-                smart: false,
-            })
-            .blocks(4)
-            .banks(4)
-            .seed(11)
-            .build()
-            .unwrap();
-        let data = vec![0x77u8; 64];
-        dev.write_block(0, &data).unwrap();
-        dev.advance_time(86_400.0);
-        match dev.read_block(0) {
-            Err(BlockError::Uncorrectable) => {}
-            Ok(r) => assert_ne!(r.data, data),
-            Err(e) => panic!("unexpected {e}"),
-        }
-        assert_eq!(
-            dev.stats().uncorrectable_reads + u64::from(dev.stats().reads > 0),
-            1
-        );
     }
 
     #[test]
@@ -533,9 +119,8 @@ mod tests {
 
     #[test]
     fn generic_organization_works_device_wide() {
-        use pcm_codec::enumerative::EnumerativeCode;
         // A ternary generic device must behave like the dedicated 3LC one.
-        let mut dev = PcmDevice::builder()
+        let dev = DeviceBuilder::new()
             .organization(CellOrganization::Generic {
                 design: LevelDesign::three_level_naive(),
                 code: EnumerativeCode::new(3, 2),
@@ -545,7 +130,7 @@ mod tests {
             .blocks(8)
             .banks(4)
             .seed(21)
-            .build()
+            .build_sharded()
             .unwrap();
         let pat = |b: usize| vec![(b as u8).wrapping_mul(41) ^ 0x69; 64];
         for b in 0..8 {
@@ -562,7 +147,7 @@ mod tests {
 
     #[test]
     fn wear_statistics_accumulate() {
-        let mut dev = three_level_device(4);
+        let dev = three_level_device(4);
         let data = vec![1u8; 64];
         for _ in 0..10 {
             dev.write_block(0, &data).unwrap();
@@ -575,7 +160,7 @@ mod tests {
 
     #[test]
     fn per_bank_stats_sum_to_device_stats() {
-        let mut dev = three_level_device(16);
+        let dev = three_level_device(16);
         let data = vec![0x42u8; 64];
         for b in 0..16 {
             dev.write_block(b, &data).unwrap();
@@ -597,27 +182,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_with_explicit_endurance_round_trips() {
-        // The builder is the only construction path; an explicit
-        // endurance model composes with the rest of the configuration.
-        let mut dev = PcmDevice::builder()
-            .organization(CellOrganization::ThreeLevel(
-                LevelDesign::three_level_naive(),
-            ))
-            .blocks(8)
-            .banks(4)
-            .seed(77)
-            .endurance(EnduranceModel::mlc())
-            .build()
-            .unwrap();
-        let data = vec![0x11u8; 64];
-        dev.write_block(0, &data).unwrap();
-        assert_eq!(dev.read_block(0).unwrap().data, data);
-    }
-
-    #[test]
     fn metrics_registry_tracks_ops_per_bank() {
-        let mut dev = three_level_device(16);
+        let dev = three_level_device(16);
         let data = vec![0x24u8; 64];
         for b in 0..16 {
             dev.write_block(b, &data).unwrap();

@@ -3,8 +3,8 @@
 //! Two layers:
 //!
 //! * [`PcmError`] wraps the operation-path errors ([`BlockError`],
-//!   [`ConfigError`], out-of-range addressing) behind one
-//!   `std::error::Error` implementation, so callers match on a single
+//!   [`ConfigError`], out-of-range addressing, wrong-length payloads)
+//!   behind one `std::error::Error` implementation, so callers match on a single
 //!   `#[non_exhaustive]` enum instead of per-layer types — and new
 //!   failure classes can be added without breaking downstream matches.
 //! * [`Error`] is the crate's single public error hierarchy: every
@@ -35,6 +35,13 @@ pub enum PcmError {
         /// The device's block count.
         blocks: usize,
     },
+    /// A write payload that is not exactly one block long.
+    PayloadLength {
+        /// The payload's length, bytes.
+        len: usize,
+        /// The block size, bytes.
+        expected: usize,
+    },
 }
 
 impl std::fmt::Display for PcmError {
@@ -45,6 +52,9 @@ impl std::fmt::Display for PcmError {
             PcmError::BlockOutOfRange { block, blocks } => {
                 write!(f, "block {block} out of range (device has {blocks} blocks)")
             }
+            PcmError::PayloadLength { len, expected } => {
+                write!(f, "payload of {len} bytes (a block holds {expected})")
+            }
         }
     }
 }
@@ -54,7 +64,7 @@ impl std::error::Error for PcmError {
         match self {
             PcmError::Block(e) => Some(e),
             PcmError::Config(e) => Some(e),
-            PcmError::BlockOutOfRange { .. } => None,
+            PcmError::BlockOutOfRange { .. } | PcmError::PayloadLength { .. } => None,
         }
     }
 }

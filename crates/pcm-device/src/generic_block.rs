@@ -214,6 +214,7 @@ impl GenericBlock {
         now: f64,
         data: &[u8],
     ) -> Result<WriteReport, BlockError> {
+        // pcm-lint: allow(no-panic-lib) — contract: the device rejects payloads that are not one block before locking a bank
         assert_eq!(data.len(), BLOCK_BYTES);
         let bits = BitVec::from_bytes(data, 512);
         let per = self.code.symbols_per_group();

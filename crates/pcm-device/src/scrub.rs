@@ -1,46 +1,74 @@
-//! Concurrent scrub for the bank-sharded engine.
+//! Refresh (scrub) for the bank-sharded engine (§1, §4.1).
 //!
 //! The paper's availability results (§4.1, §7, Figure 4) hinge on
 //! refresh: every block is read, ECC-corrected, and rewritten once per
-//! interval, stealing per-bank write bandwidth from demand traffic.
-//! [`RefreshController`](crate::refresh::RefreshController) models that
-//! for the sequential engine; this module brings the same schedule to
-//! [`ShardedPcmDevice`] so the concurrent path can model the
-//! refresh-vs-demand interaction.
+//! interval, stealing per-bank write bandwidth from demand traffic. The
+//! paper models the device as independent banks, each with its own
+//! refresh stream; this module walks exactly those streams.
 //!
 //! ## The schedule
 //!
 //! Launch `k` (1-based) is due at exactly `k × step` where
 //! `step = interval / blocks`, and scrubs global block
-//! `(k - 1) % blocks` — identical to the sequential controller. Due
-//! times are integer-tick products, never accumulated, so the schedule
-//! cannot drift. With low-order bank interleaving the global walk visits
-//! banks round-robin, which means **each bank's scrub stream is
-//! independent**: bank `b`'s `j`-th scrub is launch `j·banks + b + 1`,
-//! at local block `j % blocks_per_bank`. That is what
-//! [`BankScrubCursor`] exploits to scrub banks from separate threads.
+//! `(k - 1) % blocks`. Due times are integer-tick products, never
+//! accumulated, so the schedule cannot drift, and the first launch is at
+//! `step` — not `t = 0`, which would scrub one extra block per run. With
+//! low-order bank interleaving the global walk visits banks round-robin,
+//! which means **each bank's scrub stream is independent**: bank `b`'s
+//! `j`-th scrub is launch `j·banks + b + 1`, at local block
+//! `j % blocks_per_bank`. [`BankScrubCursor`] walks one such stream, and
+//! its [`run_until`](BankScrubCursor::run_until) is the only loop that
+//! issues scrub refreshes.
 //!
 //! ## Determinism rule
 //!
 //! Bank RNG streams make a bank's outcomes a pure function of the
 //! sequence of operations applied to that bank. Scrub launches for a
 //! given bank always happen in schedule order (a cursor is owned by one
-//! thread at a time), so:
+//! thread at a time), and trace events carry per-bank sequence numbers,
+//! so:
 //!
-//! * [`ShardedScrubber::run_until`] (inline) is **bit-identical** to
-//!   [`RefreshController::run_until`](crate::refresh::RefreshController::run_until)
-//!   on the same schedule;
+//! * [`ShardedScrubber::run_until`] (every cursor on the calling thread)
+//!   is bit-identical to walking the global launch order;
 //! * [`ShardedScrubber::run_until_concurrent`] is bit-identical to the
 //!   inline run at any thread count;
 //! * interleaving demand sessions preserves the identity whenever the
-//!   *per-bank* order of demand ops relative to scrubs matches the
-//!   sequential reference (cross-validated in `tests/proptests.rs` and
+//!   *per-bank* order of demand ops relative to scrubs matches
+//!   (cross-validated at 1/2/8 threads in `tests/proptests.rs` and
 //!   `tests/concurrent_scrub.rs`).
 
 use crate::causal;
 use crate::concurrent::ShardedPcmDevice;
-use crate::refresh::RefreshReport;
 use crate::trace_hooks;
+
+/// What a scrub walk did during a `run_until` call.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RefreshReport {
+    /// Blocks scrubbed.
+    pub blocks_refreshed: u64,
+    /// Blocks whose scrub failed (uncorrectable or worn out).
+    pub failures: u64,
+    /// Bank-seconds of busy time consumed.
+    pub bank_busy_secs: f64,
+}
+
+impl RefreshReport {
+    /// Fold another report into this one (merging per-bank or per-thread
+    /// scrub reports).
+    pub fn merge(&mut self, other: &RefreshReport) {
+        self.blocks_refreshed += other.blocks_refreshed;
+        self.failures += other.failures;
+        self.bank_busy_secs += other.bank_busy_secs;
+    }
+
+    /// Recompute busy time as one product of the launch count, not an
+    /// accumulation of per-block costs: the result is then independent
+    /// of how launches were grouped into calls, banks, or threads.
+    fn with_busy(mut self, block_scrub_secs: f64) -> Self {
+        self.bank_busy_secs = (self.blocks_refreshed + self.failures) as f64 * block_scrub_secs;
+        self
+    }
+}
 
 /// The integer-tick scrub schedule for a device geometry.
 ///
@@ -191,18 +219,13 @@ impl BankScrubCursor {
             self.sched.step_secs(),
             self.sched.block_scrub_secs,
         );
-        // One product, not accumulation — see `RefreshController::run_until`.
-        report.bank_busy_secs =
-            (report.blocks_refreshed + report.failures) as f64 * self.sched.block_scrub_secs;
-        report
+        report.with_busy(self.sched.block_scrub_secs)
     }
 }
 
-/// A periodic scrubber over a [`ShardedPcmDevice`] — the concurrent
-/// counterpart of [`RefreshController`](crate::refresh::RefreshController).
+/// A periodic scrubber over a [`ShardedPcmDevice`].
 ///
-/// Run it inline with [`run_until`](Self::run_until) (deterministic,
-/// bit-identical to the sequential controller), fan it out with
+/// Run it inline with [`run_until`](Self::run_until), fan it out with
 /// [`run_until_concurrent`](Self::run_until_concurrent), or split it
 /// into [`BankScrubCursor`]s via [`bank_cursors`](Self::bank_cursors)
 /// and drive those from long-lived scrub threads interleaved with
@@ -234,43 +257,19 @@ impl ShardedScrubber {
         self.tick - 1
     }
 
-    /// Advance to device time `t`, scrubbing every block that came due,
-    /// in global launch order. Bit-identical to
-    /// [`RefreshController::run_until`](crate::refresh::RefreshController::run_until)
-    /// on the same schedule.
+    /// Advance to device time `t`, scrubbing every block that came due:
+    /// each bank's cursor runs in turn on the calling thread.
     pub fn run_until(&mut self, dev: &ShardedPcmDevice, t: f64) -> RefreshReport {
-        let mut report = RefreshReport::default();
-        // Per-bank pass accumulators (see `RefreshController::run_until`).
-        let mut passes: Vec<Option<(u64, u64, u64)>> = vec![None; self.sched.banks];
-        while self.sched.due_time(self.tick) <= t {
-            let block = self.sched.block_of(self.tick);
-            let bank = block % self.sched.banks;
-            let first = passes[bank].map_or(self.tick, |(f, _, _)| f);
-            match dev.refresh_block_ctx(block, causal::scrub_ctx(bank, first)) {
-                Ok(()) => report.blocks_refreshed += 1,
-                Err(_) => report.failures += 1,
-            }
-            trace_hooks::track_pass(&mut passes[bank], self.tick);
-            self.tick += 1;
-        }
-        for (bank, pass) in passes.iter().enumerate() {
-            trace_hooks::scrub_pass_event(
-                dev.tracer(),
-                bank,
-                *pass,
-                self.sched.step_secs(),
-                self.sched.block_scrub_secs,
-            );
-        }
-        report.bank_busy_secs =
-            (report.blocks_refreshed + report.failures) as f64 * self.sched.block_scrub_secs;
-        report
+        let mut cursors = self.bank_cursors();
+        let report = walk(&mut cursors, dev, t);
+        self.adopt_cursors(&cursors);
+        report.with_busy(self.sched.block_scrub_secs)
     }
 
-    /// Advance to device time `t` on `threads` scoped threads; thread
-    /// `i` owns the cursors of banks `i, i + threads, …`. Per-bank order
-    /// is the schedule order, so the result is bit-identical to the
-    /// inline [`run_until`](Self::run_until) at any thread count.
+    /// [`run_until`](Self::run_until) on `threads` scoped threads:
+    /// thread `i` owns the cursors of banks `i, i + threads, …`.
+    /// Per-bank order is the schedule order, so the result is
+    /// bit-identical to the inline run at any thread count.
     pub fn run_until_concurrent(
         &mut self,
         dev: &ShardedPcmDevice,
@@ -289,15 +288,7 @@ impl ShardedScrubber {
             }
             let handles: Vec<_> = groups
                 .into_iter()
-                .map(|group| {
-                    scope.spawn(move || {
-                        let mut rep = RefreshReport::default();
-                        for cursor in group {
-                            rep.merge(&cursor.run_until(dev, t));
-                        }
-                        rep
-                    })
-                })
+                .map(|group| scope.spawn(move || walk(group, dev, t)))
                 .collect();
             for h in handles {
                 // pcm-lint: allow(no-panic-lib) — propagates a worker panic; the join cannot fail otherwise
@@ -305,11 +296,7 @@ impl ShardedScrubber {
             }
         });
         self.adopt_cursors(&cursors);
-        // Recompute busy time from the merged counts so the report is
-        // bit-identical to the inline run regardless of thread grouping.
-        report.bank_busy_secs =
-            (report.blocks_refreshed + report.failures) as f64 * self.sched.block_scrub_secs;
-        report
+        report.with_busy(self.sched.block_scrub_secs)
     }
 
     /// Split into one cursor per bank, resuming from the scrubber's
@@ -324,6 +311,7 @@ impl ShardedScrubber {
     /// common horizon, so the completed launches form a prefix of the
     /// global schedule.
     pub fn adopt_cursors(&mut self, cursors: &[BankScrubCursor]) {
+        // pcm-lint: allow(no-panic-lib) — contract: cursors come from this scrubber's bank_cursors, one per bank
         assert_eq!(cursors.len(), self.sched.banks, "one cursor per bank");
         // The global position is the smallest pending launch across banks.
         self.tick = cursors
@@ -335,12 +323,25 @@ impl ShardedScrubber {
     }
 }
 
+/// Run `cursors` to device time `t`, one after another on the calling
+/// thread.
+fn walk<'c>(
+    cursors: impl IntoIterator<Item = &'c mut BankScrubCursor>,
+    dev: &ShardedPcmDevice,
+    t: f64,
+) -> RefreshReport {
+    let mut report = RefreshReport::default();
+    for cursor in cursors {
+        report.merge(&cursor.run_until(dev, t));
+    }
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::DeviceBuilder;
     use crate::device::CellOrganization;
-    use crate::refresh::RefreshController;
     use pcm_core::level::LevelDesign;
 
     fn builder() -> DeviceBuilder {
@@ -386,34 +387,12 @@ mod tests {
         assert_eq!(next, vec![7, 8, 9, 10]);
         // And local blocks wrap per bank: bank 0's third scrub is block 8.
         assert_eq!(resumed[0].next_block(), 8);
-    }
-
-    #[test]
-    fn inline_scrub_is_bit_identical_to_sequential_controller() {
-        let mut seq = builder().build().unwrap();
-        let sharded = builder().build_sharded().unwrap();
-        let data: Vec<u8> = (0..64).map(|i| i as u8 ^ 0xB4).collect();
-        for b in 0..16 {
-            seq.write_block(b, &data).unwrap();
-            sharded.write_block(b, &data).unwrap();
-        }
-        let mut ctl = RefreshController::new(1.6);
-        let mut scrubber = ShardedScrubber::new(&sharded, 1.6);
-        for k in 1..=5u32 {
-            let t = 1.6 * k as f64;
-            seq.advance_time(t - seq.now());
-            sharded.advance_time(t - sharded.now());
-            let a = ctl.run_until(&mut seq, t);
-            let b = scrubber.run_until(&sharded, t);
-            assert_eq!(a, b, "report diverged at period {k}");
-        }
-        assert_eq!(seq.stats(), sharded.stats());
-        for b in 0..16 {
-            assert_eq!(
-                seq.read_block(b).unwrap(),
-                sharded.read_block(b).unwrap(),
-                "block {b}"
-            );
+        // Every launch of the global walk is the next launch of exactly
+        // one bank's cursor, at the same block.
+        for tick in 1..=48u64 {
+            let owner = &sched.bank_cursors(tick)[(tick as usize - 1) % 4];
+            assert_eq!(owner.next_tick(), tick);
+            assert_eq!(owner.next_block(), sched.block_of(tick), "tick {tick}");
         }
     }
 
@@ -490,5 +469,90 @@ mod tests {
         assert_eq!(rep.blocks_refreshed, 16 * INTERVALS);
         assert_eq!(rep.failures, 0);
         assert_eq!(dev.stats().refreshes, 16 * INTERVALS);
+    }
+
+    fn four_level(naive: bool, blocks: usize, seed: u64) -> ShardedPcmDevice {
+        let design = if naive {
+            LevelDesign::four_level_naive()
+        } else {
+            pcm_core::optimize::four_level_optimal().clone()
+        };
+        DeviceBuilder::new()
+            .organization(CellOrganization::FourLevel {
+                design,
+                smart: false,
+            })
+            .blocks(blocks)
+            .banks(4)
+            .seed(seed)
+            .build_sharded()
+            .unwrap()
+    }
+
+    #[test]
+    fn covers_every_block_each_interval() {
+        let dev = four_level(false, 16, 123);
+        for b in 0..16 {
+            dev.write_block(b, &[0x3C; 64]).unwrap();
+        }
+        let mut scrubber = ShardedScrubber::new(&dev, 1024.0);
+        dev.advance_time(1024.0);
+        let rep = scrubber.run_until(&dev, 1024.0);
+        // One interval covers each block exactly once — no t=0 extra.
+        assert_eq!(rep.blocks_refreshed, 16, "{rep:?}");
+        assert_eq!(rep.failures, 0);
+    }
+
+    #[test]
+    fn split_inline_calls_keep_an_exact_count() {
+        // interval / blocks = 0.01875 s is not representable in binary;
+        // an accumulating schedule would drift over 40 split calls.
+        let dev = four_level(false, 16, 123);
+        for b in 0..16 {
+            dev.write_block(b, &[0x2E; 64]).unwrap();
+        }
+        let mut scrubber = ShardedScrubber::new(&dev, 0.3);
+        let mut total = 0u64;
+        for k in 1..=40u64 {
+            let t = 0.3 * k as f64;
+            dev.advance_time(t - dev.now());
+            total += scrubber.run_until(&dev, t).blocks_refreshed;
+        }
+        assert_eq!(total, 16 * 40);
+        assert_eq!(scrubber.completed(), 16 * 40);
+    }
+
+    #[test]
+    fn keeps_4lc_alive_over_many_intervals() {
+        let dev = four_level(false, 8, 123);
+        let data: Vec<u8> = (0..64).map(|i| i as u8).collect();
+        for b in 0..8 {
+            dev.write_block(b, &data).unwrap();
+        }
+        let mut scrubber = ShardedScrubber::new(&dev, 1024.0);
+        // A simulated half-day in 17-minute steps.
+        for k in 1..=42u32 {
+            let t = 1024.0 * k as f64;
+            dev.advance_time(1024.0);
+            assert_eq!(scrubber.run_until(&dev, t).failures, 0, "at t={t}");
+        }
+        for b in 0..8 {
+            assert_eq!(dev.read_block(b).unwrap().data, data, "block {b}");
+        }
+    }
+
+    #[test]
+    fn refresh_failures_are_reported_not_panicked() {
+        let dev = four_level(true, 4, 9);
+        for b in 0..4 {
+            dev.write_block(b, &[0xE7; 64]).unwrap();
+        }
+        // Let the naive design rot for a day, then try to scrub.
+        dev.advance_time(86_400.0);
+        let rep = ShardedScrubber::new(&dev, 86_400.0).run_until(&dev, 86_400.0);
+        assert!(
+            rep.failures > 0,
+            "scrubbing a rotten 4LCn device must fail: {rep:?}"
+        );
     }
 }

@@ -1,11 +1,9 @@
 //! Adapter between the metrics registry and `pcm-telemetry`, plus the
-//! single polling helper both engines call from `advance_time`.
+//! polling helper the device calls from `advance_time`.
 //!
-//! Centralizing the poll here — like `trace_hooks` centralizes event
-//! emission — keeps the sequential and sharded engines byte-identical:
-//! both observe the same counters (the shared `DeviceMetrics` registry)
-//! at the same model instants, so the telemetry series they produce are
-//! the same series.
+//! Samples are taken only at quiesced `advance_time` boundaries, from
+//! the per-bank `DeviceMetrics` counters, so the telemetry series of a
+//! run is the same at any thread count.
 
 use crate::metrics::DeviceMetrics;
 use pcm_telemetry::{BankCounters, TelemetryRecorder};

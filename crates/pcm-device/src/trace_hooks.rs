@@ -1,12 +1,10 @@
-//! Shared trace-emission helpers for both device engines.
+//! Trace-emission helpers for the device engine.
 //!
-//! The determinism oracle (`tests/trace_determinism.rs`) demands that
-//! the sequential and sharded engines emit *identical* per-bank event
-//! streams for the same per-bank operation order. The only way to keep
-//! that true as code evolves is to have exactly one function per
-//! touchpoint — both engines, the refresh controller, the sharded
-//! scrubber, and the per-bank scrub cursors all call these — so an
-//! emission change cannot land in one engine and not the other.
+//! The determinism oracle (`tests/trace_determinism.rs`) demands
+//! identical per-bank event streams at every thread count for the same
+//! per-bank operation order. Each touchpoint — demand ops, the scrub
+//! cursors, the remap wrapper — emits through exactly one function here,
+//! so an emission change lands everywhere at once.
 //!
 //! Timestamps: an op's span begins at the device clock when the op is
 //! issued (`secs_to_ns(now)`) and ends after its modeled busy window
@@ -14,80 +12,80 @@
 //! the pass's first launch deadline to its last launch deadline plus
 //! one block-scrub cost, both derived from integer ticks.
 
-use crate::block::BlockError;
+use crate::block::{BlockError, ReadReport, WriteReport};
 use crate::causal;
 use crate::error::PcmError;
 use crate::metrics;
 use pcm_trace::{secs_to_ns, OpKind, Recorder, NO_BLOCK};
 
-/// Stable failure-event payload codes (documented in DESIGN.md §12).
-pub(crate) fn block_error_code(e: &BlockError) -> u64 {
+/// Stable failure-event payload code of a block datapath error
+/// (documented in DESIGN.md §12). `None` for errors that never reach a
+/// bank — addressing, payload length, configuration — which are not
+/// traced (and record no metrics either).
+fn pcm_error_code(e: &PcmError) -> Option<u64> {
     match e {
-        BlockError::Uncorrectable => 1,
-        BlockError::WearoutExhausted => 2,
-        BlockError::WriteFailed => 3,
-    }
-}
-
-/// [`block_error_code`] lifted over the sharded engine's error type.
-/// Only block datapath failures are traced; config/out-of-range errors
-/// never reach a bank (and record no metrics either).
-pub(crate) fn pcm_error_code(e: &PcmError) -> Option<u64> {
-    match e {
-        PcmError::Block(b) => Some(block_error_code(b)),
+        PcmError::Block(BlockError::Uncorrectable) => Some(1),
+        PcmError::Block(BlockError::WearoutExhausted) => Some(2),
+        PcmError::Block(BlockError::WriteFailed) => Some(3),
         _ => None,
     }
 }
 
-/// A completed (or failed) block write: `outcome` is
-/// `Ok((attempts, new_faults))` or `Err(code)`. `ctx` is the issuing
-/// request's correlation id ([`pcm_trace::NO_CTX`] for untracked ops).
+/// A failed op: an instant carrying [`pcm_error_code`], if it has one.
+fn failure_event(rec: &Recorder, bank: usize, block: usize, t: u64, e: &PcmError, ctx: u64) {
+    if let Some(code) = pcm_error_code(e) {
+        rec.instant_ctx(OpKind::Failure, bank as u32, block as u32, t, code, ctx);
+    }
+}
+
+/// A completed (or failed) block write. `ctx` is the issuing request's
+/// correlation id ([`pcm_trace::NO_CTX`] for untracked ops).
 pub(crate) fn write_event(
     rec: &Recorder,
     bank: usize,
     block: usize,
     now: f64,
     cells: u64,
-    outcome: Result<(u64, u64), u64>,
+    r: &Result<WriteReport, PcmError>,
     ctx: u64,
 ) {
     if !rec.is_enabled() {
         return;
     }
     let t = secs_to_ns(now);
-    match outcome {
-        Ok((attempts, new_faults)) => rec.span_ctx(
+    match r {
+        Ok(rep) => rec.span_ctx(
             OpKind::Write,
             bank as u32,
             block as u32,
-            (t, t + metrics::write_busy_ns(attempts, cells)),
-            (attempts, new_faults),
+            (t, t + metrics::write_busy_ns(rep.attempts, cells)),
+            (rep.attempts, rep.new_faults as u64),
             ctx,
         ),
-        Err(code) => rec.instant_ctx(OpKind::Failure, bank as u32, block as u32, t, code, ctx),
+        Err(e) => failure_event(rec, bank, block, t, e, ctx),
     }
 }
 
-/// A completed (or failed) block read: `outcome` is corrected symbols
-/// or an error code. Nonzero correction additionally emits an
-/// `ecc_decode` span nested at the tail of the read window — decode
-/// work is carved *out of* the 200 ns media window (the BCH pipeline
-/// overlaps the array access), clamped so it can never extend past the
-/// read span it belongs to.
+/// A completed (or failed) block read. Nonzero correction additionally
+/// emits an `ecc_decode` span nested at the tail of the read window —
+/// decode work is carved *out of* the 200 ns media window (the BCH
+/// pipeline overlaps the array access), clamped so it can never extend
+/// past the read span it belongs to.
 pub(crate) fn read_event(
     rec: &Recorder,
     bank: usize,
     block: usize,
     now: f64,
-    outcome: Result<u64, u64>,
+    r: &Result<ReadReport, PcmError>,
     ctx: u64,
 ) {
     if !rec.is_enabled() {
         return;
     }
     let t = secs_to_ns(now);
-    match outcome {
-        Ok(corrected) => {
+    match r {
+        Ok(rep) => {
+            let corrected = rep.corrected_bits as u64;
             rec.span_ctx(
                 OpKind::Read,
                 bank as u32,
@@ -112,7 +110,7 @@ pub(crate) fn read_event(
                 );
             }
         }
-        Err(code) => rec.instant_ctx(OpKind::Failure, bank as u32, block as u32, t, code, ctx),
+        Err(e) => failure_event(rec, bank, block, t, e, ctx),
     }
 }
 
@@ -122,15 +120,15 @@ pub(crate) fn refresh_event(
     bank: usize,
     block: usize,
     now: f64,
-    outcome: Result<(), u64>,
+    r: &Result<u64, PcmError>,
     ctx: u64,
 ) {
     if !rec.is_enabled() {
         return;
     }
     let t = secs_to_ns(now);
-    match outcome {
-        Ok(()) => rec.span_ctx(
+    match r {
+        Ok(_) => rec.span_ctx(
             OpKind::Refresh,
             bank as u32,
             block as u32,
@@ -138,7 +136,7 @@ pub(crate) fn refresh_event(
             (0, 0),
             ctx,
         ),
-        Err(code) => rec.instant_ctx(OpKind::Failure, bank as u32, block as u32, t, code, ctx),
+        Err(e) => failure_event(rec, bank, block, t, e, ctx),
     }
 }
 

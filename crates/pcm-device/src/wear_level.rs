@@ -16,8 +16,9 @@
 //! PA = q + 1 if q >= gap else q    // N+1 physical slots, slot `gap` free
 //! ```
 
-use crate::block::{BlockError, ReadReport, WriteReport};
-use crate::device::PcmDevice;
+use crate::block::{ReadReport, WriteReport, BLOCK_BYTES};
+use crate::concurrent::ShardedPcmDevice;
+use crate::error::PcmError;
 
 /// The Start-Gap address-rotation state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,14 +119,15 @@ impl StartGap {
 /// movements transparently on writes. Reads and writes use *logical*
 /// block numbers.
 pub struct WearLeveledDevice {
-    device: PcmDevice,
+    device: ShardedPcmDevice,
     leveler: StartGap,
 }
 
 impl WearLeveledDevice {
     /// Wrap `device`; it must have exactly `logical_blocks + 1` blocks.
-    pub fn new(device: PcmDevice, logical_blocks: usize, psi: u32) -> Self {
+    pub fn new(device: ShardedPcmDevice, logical_blocks: usize, psi: u32) -> Self {
         let leveler = StartGap::new(logical_blocks, psi);
+        // pcm-lint: allow(no-panic-lib) — constructor contract: the caller sizes the device at logical_blocks + 1
         assert_eq!(
             device.blocks(),
             leveler.physical_blocks(),
@@ -139,14 +141,9 @@ impl WearLeveledDevice {
         self.leveler.logical_blocks()
     }
 
-    /// The wrapped device (for stats / clock access).
-    pub fn device(&self) -> &PcmDevice {
+    /// The wrapped device (clock, stats, fault injection).
+    pub fn device(&self) -> &ShardedPcmDevice {
         &self.device
-    }
-
-    /// Mutable access to the wrapped device (clock, fault injection).
-    pub fn device_mut(&mut self) -> &mut PcmDevice {
-        &mut self.device
     }
 
     /// The leveler state (for inspection).
@@ -154,14 +151,34 @@ impl WearLeveledDevice {
         &self.leveler
     }
 
-    /// Read a logical block.
-    pub fn read_block(&mut self, logical: usize) -> Result<ReadReport, BlockError> {
-        let pa = self.leveler.translate(logical);
-        self.device.read_block(pa)
+    /// Reject logical blocks outside the leveled range.
+    fn check(&self, logical: usize) -> Result<(), PcmError> {
+        if logical < self.blocks() {
+            return Ok(());
+        }
+        Err(PcmError::BlockOutOfRange {
+            block: logical,
+            blocks: self.blocks(),
+        })
     }
 
-    /// Write a logical block, performing any due gap movement first.
-    pub fn write_block(&mut self, logical: usize, data: &[u8]) -> Result<WriteReport, BlockError> {
+    /// Read a logical block.
+    pub fn read_block(&self, logical: usize) -> Result<ReadReport, PcmError> {
+        self.check(logical)?;
+        self.device.read_block(self.leveler.translate(logical))
+    }
+
+    /// Write a logical block, performing any due gap movement first. The
+    /// request is validated before the leveler counts it, so a rejected
+    /// write moves no data and leaves the mapping untouched.
+    pub fn write_block(&mut self, logical: usize, data: &[u8]) -> Result<WriteReport, PcmError> {
+        self.check(logical)?;
+        if data.len() != BLOCK_BYTES {
+            return Err(PcmError::PayloadLength {
+                len: data.len(),
+                expected: BLOCK_BYTES,
+            });
+        }
         if let Some(mv) = self.leveler.note_write() {
             // The `from` slot may never have been written (fresh device);
             // in that case the gap swallows an empty block.
@@ -178,6 +195,7 @@ impl WearLeveledDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::DeviceBuilder;
     use crate::device::CellOrganization;
     use pcm_core::level::LevelDesign;
 
@@ -234,14 +252,14 @@ mod tests {
     }
 
     fn leveled_device(psi: u32) -> WearLeveledDevice {
-        let dev = PcmDevice::builder()
+        let dev = DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(
                 LevelDesign::three_level_naive(),
             ))
             .blocks(9)
             .banks(3)
             .seed(7)
-            .build()
+            .build_sharded()
             .unwrap();
         WearLeveledDevice::new(dev, 8, psi)
     }
@@ -310,5 +328,27 @@ mod tests {
             wa > wb + 150,
             "psi=1 must roughly double write traffic: {wa} vs {wb}"
         );
+    }
+
+    #[test]
+    fn rejected_write_leaves_state_unchanged() {
+        // ψ = 1: any counted write would move the gap (a copy) first.
+        let mut dev = leveled_device(1);
+        dev.write_block(0, &[0x3Cu8; 64]).unwrap();
+        let (leveler, stats) = (dev.leveler().clone(), dev.device().stats());
+        assert_eq!(
+            dev.write_block(8, &[0u8; 64]),
+            Err(PcmError::BlockOutOfRange {
+                block: 8,
+                blocks: 8
+            })
+        );
+        assert!(matches!(
+            dev.write_block(0, &[0u8; 10]),
+            Err(PcmError::PayloadLength { len: 10, .. })
+        ));
+        assert!(dev.read_block(8).is_err());
+        assert_eq!(dev.leveler(), &leveler);
+        assert_eq!(dev.device().stats(), stats);
     }
 }

@@ -222,6 +222,7 @@ impl Bch {
     /// capability *and* this is detectable (the residual syndrome check
     /// catches every miscorrection attempt that leaves the codeword space).
     pub fn decode(&self, data: &mut BitVec, parity: &mut BitVec) -> Result<usize, BchError> {
+        // pcm-lint: allow(no-panic-lib) — shape contract: parity buffers are sized by this code, see `parity_bits`
         assert_eq!(
             parity.len(),
             self.tables.parity_bits,
@@ -300,6 +301,7 @@ impl Bch {
         data: &mut [BitVec],
         parity: &mut [BitVec],
     ) -> Vec<Result<usize, BchError>> {
+        // pcm-lint: allow(no-panic-lib) — batch contract: one parity vector per data vector
         assert_eq!(data.len(), parity.len(), "data/parity batch mismatch");
         let mut out = Vec::with_capacity(data.len());
         for (d, p) in data.chunks_mut(LANES).zip(parity.chunks_mut(LANES)) {
@@ -321,8 +323,11 @@ impl Bch {
         let lanes = data.len();
         let data_bits = data.first().map_or(0, BitVec::len);
         for (d, p) in data.iter().zip(parity.iter()) {
-            assert_eq!(d.len(), data_bits, "data length mismatch within batch");
-            assert_eq!(p.len(), tb.parity_bits, "parity length mismatch");
+            // pcm-lint: allow(no-panic-lib) — batch contract: every lane has the first lane's data length and this code's parity length
+            assert!(
+                d.len() == data_bits && p.len() == tb.parity_bits,
+                "lane length mismatch within batch"
+            );
         }
         let used_len = tb.parity_bits + data_bits;
 

@@ -102,6 +102,7 @@ impl BitVec {
 
     /// Word-wise XOR with another vector of the same length.
     pub fn xor_assign(&mut self, other: &BitVec) {
+        // pcm-lint: allow(no-panic-lib) — contract: XOR is defined only between equal-length vectors
         assert_eq!(self.len, other.len, "length mismatch in xor");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a ^= b;
@@ -123,6 +124,7 @@ impl BitVec {
 
     /// Hamming distance to another vector of the same length.
     pub fn hamming_distance(&self, other: &BitVec) -> usize {
+        // pcm-lint: allow(no-panic-lib) — contract: distance is defined only between equal-length vectors
         assert_eq!(self.len, other.len);
         self.words
             .iter()

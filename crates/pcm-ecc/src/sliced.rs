@@ -81,6 +81,7 @@ impl SlicedBatch {
         for c in 0..blocks {
             let mut scratch = [0u64; 64];
             for (l, w) in words.iter().enumerate() {
+                // pcm-lint: allow(no-panic-lib) — batch contract: every lane of a slicing word has the same length
                 assert_eq!(w.len(), bits, "lane {l} length mismatch");
                 scratch[l] = w.as_words().get(c).copied().unwrap_or(0);
             }

@@ -25,10 +25,9 @@
 //! the device stack makes deterministic by recording under the owning
 //! bank's lock. The canonical per-bank order
 //! ([`TraceSnapshot::canonical_per_bank`], sort by `(t_ns, seq)`) is
-//! therefore identical between the sequential engine and the sharded
-//! engine at any thread count, making the trace itself a correctness
-//! oracle (`tests/trace_determinism.rs`) rather than just a debugging
-//! aid. The same property holds for this crate as for the device
+//! therefore identical for device runs at any thread count, making the
+//! trace itself a correctness oracle (`tests/trace_determinism.rs`)
+//! rather than just a debugging aid. The same property holds for this crate as for the device
 //! crates: it is covered by `pcm-lint`'s `no-ambient-nondeterminism`
 //! rule, so `Instant`/`SystemTime`/environment reads cannot creep in.
 

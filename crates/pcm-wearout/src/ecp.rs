@@ -115,6 +115,7 @@ impl EcpMlc {
     /// On a write, refresh the replacement values of already-marked cells
     /// (the pointed cells can't store the new data themselves).
     pub fn update_for_write(&mut self, states: &[usize]) {
+        // pcm-lint: allow(no-panic-lib) — shape contract: one state per block cell
         assert_eq!(states.len(), self.block_cells);
         for entry in self.entries.iter_mut().flatten() {
             entry.1 = states[entry.0];
@@ -124,6 +125,7 @@ impl EcpMlc {
     /// Apply corrections to sensed states (the read-path MUX of
     /// Figure 14).
     pub fn apply(&self, states: &mut [usize]) {
+        // pcm-lint: allow(no-panic-lib) — shape contract: one sensed state per block cell
         assert_eq!(states.len(), self.block_cells);
         for &(ptr, replacement) in self.entries.iter().flatten() {
             states[ptr] = replacement;

@@ -102,6 +102,7 @@ impl MarkSpareCodec {
         values: &[u8],
         failed_pairs: &[usize],
     ) -> Result<Vec<(Trit, Trit)>, MarkSpareError> {
+        // pcm-lint: allow(no-panic-lib) — shape contract: one value per data pair of the block layout
         assert_eq!(
             values.len(),
             self.data_pairs,
@@ -140,6 +141,7 @@ impl MarkSpareCodec {
     /// Recover the logical values by skipping INV pairs (reference
     /// semantics for the hardware datapath).
     pub fn decode_pairs(&self, pairs: &[(Trit, Trit)]) -> Result<Vec<u8>, MarkSpareError> {
+        // pcm-lint: allow(no-panic-lib) — shape contract: one pair per physical pair of the block layout
         assert_eq!(pairs.len(), self.total_pairs());
         let mut out = Vec::with_capacity(self.data_pairs);
         let mut marked = 0usize;
@@ -166,6 +168,7 @@ impl MarkSpareCodec {
     /// deleting the first remaining INV pair, selects driven by prefix ORs
     /// of the INV flags. Bit-exact against [`Self::decode_pairs`].
     pub fn decode_pairs_staged(&self, pairs: &[(Trit, Trit)]) -> Result<Vec<u8>, MarkSpareError> {
+        // pcm-lint: allow(no-panic-lib) — shape contract: one pair per physical pair of the block layout
         assert_eq!(pairs.len(), self.total_pairs());
         #[derive(Clone, Copy)]
         enum Slot {
@@ -246,6 +249,7 @@ impl MarkSpareCodec {
 
     /// Decode the full physical trit stream back to `len_bits` of data.
     pub fn decode_block(&self, trits: &[Trit], len_bits: usize) -> Result<BitVec, MarkSpareError> {
+        // pcm-lint: allow(no-panic-lib) — shape contract: one trit per physical cell of the block layout
         assert_eq!(trits.len(), self.total_cells());
         let pairs: Vec<(Trit, Trit)> = trits.chunks_exact(2).map(|c| (c[0], c[1])).collect();
         let values = self.decode_pairs(&pairs)?;

@@ -125,6 +125,7 @@ impl PrefixOrNetwork {
 
     /// Evaluate the network on concrete inputs; returns all prefix ORs.
     pub fn evaluate(&self, inputs: &[bool]) -> Vec<bool> {
+        // pcm-lint: allow(no-panic-lib) — shape contract: one input per network lane
         assert_eq!(inputs.len(), self.n);
         let mut values = Vec::with_capacity(self.n + self.gates.len());
         values.extend_from_slice(inputs);

@@ -1,7 +1,7 @@
 //! `pcm-lint` — the workspace's in-repo static-analysis pass.
 //!
-//! Earlier PRs made hard correctness promises: bit-identical sharded
-//! vs. sequential execution, integer-tick scrub scheduling, per-bank
+//! Earlier PRs made hard correctness promises: bit-identical execution
+//! at any thread count, integer-tick scrub scheduling, per-bank
 //! RNG streams, and library paths that return typed errors instead of
 //! panicking. Nothing in `rustc`/`clippy` enforces those — they hold
 //! only until an edit reintroduces a float tick, an ad-hoc second

@@ -1,6 +1,6 @@
 //! `no-deprecated-internal`: the workspace ships no deprecated API.
 //!
-//! PR 1 deprecated the positional `PcmDevice` constructors behind
+//! PR 1 deprecated the positional device constructors behind
 //! `#[deprecated]` shims; PR 6 deleted them, making `DeviceBuilder` the
 //! only construction path and the public surface deprecation-free. This
 //! rule keeps it that way: non-test code may neither introduce a new

@@ -1,7 +1,7 @@
 //! `no-float-tick`: scheduler deadlines advance on integer ticks.
 //!
-//! PR 2 fixed a drift bug where `RefreshController::run_until` advanced
-//! `next_due` by repeated `f64` addition — after ~1e7 steps the
+//! PR 2 fixed a drift bug where the refresh controller's `run_until`
+//! advanced `next_due` by repeated `f64` addition — after ~1e7 steps the
 //! accumulated rounding error shifted scrub launches, changing error
 //! counts between runs of different lengths. The fix computes every
 //! deadline as `tick as f64 * step` from an integer tick. This rule
@@ -112,7 +112,7 @@ impl Rule for NoFloatTick {
                          horizons"
                     ),
                     suggestion: "advance an integer tick counter and derive the deadline as \
-                                 `tick as f64 * step` (see RefreshController::run_until)"
+                                 `tick as f64 * step` (see BankScrubCursor::run_until)"
                         .to_string(),
                 });
             }

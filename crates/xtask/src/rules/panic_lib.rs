@@ -2,8 +2,9 @@
 //!
 //! PR 1 introduced `PcmError`/`ConfigError` and PR 2 `TraceParseError`
 //! precisely so callers never hit a panic on a fallible path. This rule
-//! keeps that promise: `unwrap()`, `expect(…)`, `panic!` and `assert!`
-//! are forbidden in non-test code of the library crates. Genuinely
+//! keeps that promise: `unwrap()`, `expect(…)`, `panic!`, `assert!`,
+//! `assert_eq!` and `assert_ne!` are forbidden in non-test code of the
+//! library crates. Genuinely
 //! infallible uses carry a `// pcm-lint: allow(no-panic-lib)` comment
 //! stating the invariant; `debug_assert!` (compiled out of release
 //! builds) is always fine.
@@ -21,7 +22,7 @@ impl Rule for NoPanicLib {
     }
 
     fn describe(&self) -> &'static str {
-        "forbid unwrap()/expect()/panic!/assert! in non-test library code"
+        "forbid unwrap()/expect()/panic!/assert!/assert_eq!/assert_ne! in non-test library code"
     }
 
     fn check(&self, f: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -44,7 +45,7 @@ impl Rule for NoPanicLib {
                          invariant that makes this infallible",
                     )
                 }
-                "panic" | "assert" if f.is_punct(i + 1, "!") => (
+                "panic" | "assert" | "assert_eq" | "assert_ne" if f.is_punct(i + 1, "!") => (
                     format!("`{}!` in library code panics the caller", t.text),
                     "return a typed error on fallible paths; for true invariants use \
                      debug_assert! or add `// pcm-lint: allow(no-panic-lib)` with a one-line \

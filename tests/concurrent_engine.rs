@@ -4,10 +4,10 @@
 //! shared clock, and the typed error surface.
 
 use mlc_pcm::core::level::LevelDesign;
-use mlc_pcm::device::{CellOrganization, PcmDevice, PcmError, ShardedPcmDevice};
+use mlc_pcm::device::{CellOrganization, DeviceBuilder, PcmError, ShardedPcmDevice};
 
 fn sharded(blocks: usize, banks: usize, seed: u64) -> ShardedPcmDevice {
-    PcmDevice::builder()
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -114,22 +114,27 @@ fn clock_is_shared_across_threads_and_shards() {
 }
 
 #[test]
-fn engines_convert_back_and_forth_without_losing_state() {
-    let dev = sharded(8, 4, 99);
-    for b in 0..8 {
-        dev.write_block(b, &pattern(b)).unwrap();
-    }
-    dev.advance_time(3600.0);
-    let stats = dev.stats();
-
-    let mut seq: PcmDevice = dev.into();
-    assert_eq!(seq.stats(), stats);
-    seq.write_block(0, &pattern(7)).unwrap();
-
-    let back: ShardedPcmDevice = seq.into();
-    assert_eq!(back.read_block(0).unwrap().data, pattern(7));
-    for b in 1..8 {
-        assert_eq!(back.read_block(b).unwrap().data, pattern(b));
-    }
-    assert_eq!(back.stats().writes, stats.writes + 1);
+fn wrong_length_payloads_are_typed_errors_that_leave_the_bank_usable() {
+    // A payload is checked before its bank is locked: a bad one must
+    // neither panic nor poison the bank for the next (valid) write.
+    let dev = sharded(8, 4, 5);
+    let short = PcmError::PayloadLength {
+        len: 10,
+        expected: 64,
+    };
+    assert_eq!(dev.write_block(0, &[0u8; 10]).err(), Some(short.clone()));
+    assert_eq!(dev.write_block_ctx(0, &[0u8; 10], 1).err(), Some(short));
+    let batch = dev.write_batch(&[(4, &[0u8; 65][..]), (0, &pattern(0)[..])]);
+    assert!(matches!(
+        batch[0],
+        Err(PcmError::PayloadLength { len: 65, .. })
+    ));
+    // Block 4 shares bank 0 with block 0.
+    dev.write_block(4, &pattern(4)).unwrap();
+    assert_eq!(dev.read_block(4).unwrap().data, pattern(4));
+    assert_eq!(dev.read_block(0).unwrap().data, pattern(0));
+    // Rejected payloads record nothing.
+    assert_eq!(dev.stats().writes, 2);
+    let totals = dev.metrics().snapshot().total();
+    assert_eq!((totals.writes, totals.uncorrectables), (2, 0));
 }

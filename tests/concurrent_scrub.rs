@@ -1,20 +1,16 @@
-//! Integration tests for the concurrent scrub subsystem: the sharded
-//! engine's integer-tick scrubber against the sequential
-//! `RefreshController`, background scrub threads interleaved with
-//! demand sessions, long-horizon schedule exactness, and the shared
-//! metrics registry surfaced from all three engine handles.
+//! Integration tests for the scrub subsystem: the integer-tick
+//! scrubber inline against its threaded runs, background scrub threads
+//! interleaved with demand sessions, long-horizon schedule exactness,
+//! and the shared metrics registry surfaced from every device handle.
 
 use mlc_pcm::core::level::LevelDesign;
-use mlc_pcm::device::{
-    CellOrganization, DeviceBuilder, PcmDevice, RefreshController, ShardedPcmDevice,
-    ShardedScrubber,
-};
+use mlc_pcm::device::{CellOrganization, DeviceBuilder, RemappedDevice, ShardedScrubber};
 
 const BLOCKS: usize = 16;
 const BANKS: usize = 4;
 
 fn builder(seed: u64) -> DeviceBuilder {
-    PcmDevice::builder()
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -29,30 +25,33 @@ fn pattern(block: usize) -> Vec<u8> {
 
 #[test]
 fn inline_scrub_matches_sequential_controller_end_to_end() {
-    let mut seq = builder(404).build().unwrap();
-    let sharded = builder(404).build_sharded().unwrap();
-    for b in 0..BLOCKS {
-        seq.write_block(b, &pattern(b)).unwrap();
-        sharded.write_block(b, &pattern(b)).unwrap();
-    }
-    let mut ctl = RefreshController::new(1.6);
-    let mut scrubber = ShardedScrubber::new(&sharded, 1.6);
-    for k in 1..=6u32 {
-        let t = 1.6 * k as f64;
-        seq.advance_time(t - seq.now());
-        sharded.advance_time(t - sharded.now());
-        let a = ctl.run_until(&mut seq, t);
-        let b = scrubber.run_until(&sharded, t);
-        assert_eq!(a, b, "scrub report diverged at period {k}");
-    }
-    assert_eq!(seq.stats(), sharded.stats());
-    assert_eq!(seq.metrics().snapshot(), sharded.metrics().snapshot());
-    for b in 0..BLOCKS {
-        assert_eq!(
-            seq.read_block(b).unwrap(),
-            sharded.read_block(b).unwrap(),
-            "block {b}"
-        );
+    // The inline scrubber — every bank's cursor on the calling thread —
+    // is the reference; 2 and 8 scrub threads must match it period by
+    // period and in every observable end state.
+    let run = |threads: usize| {
+        let dev = builder(404).build_sharded().unwrap();
+        for b in 0..BLOCKS {
+            dev.write_block(b, &pattern(b)).unwrap();
+        }
+        let mut scrubber = ShardedScrubber::new(&dev, 1.6);
+        let reports: Vec<_> = (1..=6u32)
+            .map(|k| {
+                let t = 1.6 * k as f64;
+                dev.advance_time(t - dev.now());
+                if threads == 1 {
+                    scrubber.run_until(&dev, t)
+                } else {
+                    scrubber.run_until_concurrent(&dev, t, threads)
+                }
+            })
+            .collect();
+        let reads: Vec<_> = (0..BLOCKS).map(|b| dev.read_block(b).unwrap()).collect();
+        (reports, dev.stats(), dev.metrics().snapshot(), reads)
+    };
+    let want = run(1);
+    assert_eq!(want.1.refreshes, 6 * BLOCKS as u64);
+    for threads in [2usize, 8] {
+        assert_eq!(run(threads), want, "threads={threads}");
     }
 }
 
@@ -115,28 +114,22 @@ fn background_scrub_interleaves_with_demand_sessions() {
 fn long_horizon_schedule_is_exact_at_every_thread_count() {
     // interval / blocks is not binary-representable, so an accumulating
     // scheduler drifts over thousands of launches; the integer-tick
-    // schedule performs exactly blocks × intervals scrubs from every
-    // engine and at every thread count.
+    // schedule performs exactly blocks × intervals scrubs inline and at
+    // every thread count.
     const INTERVALS: u64 = 500;
     let horizon = 0.3 * INTERVALS as f64;
-
-    let mut seq = builder(5).build().unwrap();
-    for b in 0..BLOCKS {
-        seq.write_block(b, &pattern(b)).unwrap();
-    }
-    let mut ctl = RefreshController::new(0.3);
-    seq.advance_time(horizon);
-    let rep = ctl.run_until(&mut seq, horizon);
-    assert_eq!(rep.blocks_refreshed, BLOCKS as u64 * INTERVALS);
-
-    for threads in [1usize, 2, 4, 8] {
+    let run = |threads: usize| {
         let dev = builder(5).build_sharded().unwrap();
         for b in 0..BLOCKS {
             dev.write_block(b, &pattern(b)).unwrap();
         }
         let mut scrubber = ShardedScrubber::new(&dev, 0.3);
         dev.advance_time(horizon);
-        let rep = scrubber.run_until_concurrent(&dev, horizon, threads);
+        let rep = if threads == 1 {
+            scrubber.run_until(&dev, horizon)
+        } else {
+            scrubber.run_until_concurrent(&dev, horizon, threads)
+        };
         assert_eq!(
             rep.blocks_refreshed,
             BLOCKS as u64 * INTERVALS,
@@ -144,7 +137,11 @@ fn long_horizon_schedule_is_exact_at_every_thread_count() {
         );
         assert_eq!(rep.failures, 0, "threads={threads}");
         assert_eq!(dev.stats().refreshes, BLOCKS as u64 * INTERVALS);
-        assert_eq!(dev.stats(), seq.stats(), "threads={threads}");
+        dev.stats()
+    };
+    let want = run(1);
+    for threads in [2usize, 4, 8] {
+        assert_eq!(run(threads), want, "threads={threads}");
     }
 }
 
@@ -164,20 +161,28 @@ fn metrics_registry_is_shared_across_handles_and_conversions() {
     assert_eq!(snap.per_bank[bank].reads, 1);
     assert!(snap.per_bank[bank].busy_ns > 0);
 
-    // The registry travels through engine conversions: counters keep
-    // accumulating into the same banks.
-    let mut seq: PcmDevice = dev.into();
-    seq.write_block(3, &pattern(3)).unwrap();
-    assert_eq!(seq.metrics().snapshot().per_bank[bank].writes, 2);
-    let back: ShardedPcmDevice = seq.into();
-    back.read_block(3).unwrap();
-    let total = back.metrics().snapshot().total();
+    // Scrub threads record into it too.
+    let mut scrubber = ShardedScrubber::new(&dev, 1.6);
+    dev.advance_time(1.6);
+    scrubber.run_until_concurrent(&dev, 1.6, 2);
+    assert_eq!(dev.metrics().snapshot().total().scrubs, BLOCKS as u64);
+
+    // The registry travels with the device into a wrapper: counters
+    // keep accumulating into the same banks.
+    let mut remapped = RemappedDevice::new(dev, 4);
+    remapped.write_block(3, &pattern(3)).unwrap();
+    assert_eq!(
+        remapped.device().metrics().snapshot().per_bank[bank].writes,
+        2
+    );
+    remapped.read_block(3).unwrap();
+    let total = remapped.device().metrics().snapshot().total();
     assert_eq!(total.writes, 2);
     assert_eq!(total.reads, 2);
     // Latency histogram saw every successful op.
-    let hist: u64 = back.metrics().snapshot().per_bank[bank]
+    let hist: u64 = remapped.device().metrics().snapshot().per_bank[bank]
         .latency_buckets
         .iter()
         .sum();
-    assert_eq!(hist, 4);
+    assert_eq!(hist, 4 + BLOCKS as u64 / BANKS as u64);
 }

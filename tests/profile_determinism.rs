@@ -2,11 +2,11 @@
 //!
 //! Three contracts on top of the tracing oracle:
 //!
-//! 1. **Attribution is engine- and thread-count-invariant.** Correlation
-//!    ids come from split counters (per stream), so the profile built
-//!    from a sequential run and from sharded runs at 1/2/8 threads —
-//!    same per-bank op order — must export byte-identical folded stacks
-//!    and profile JSONL.
+//! 1. **Attribution is thread-count-invariant.** Correlation ids come
+//!    from split counters (per stream), so the profiles built from runs
+//!    at 1/2/8 threads — same per-bank op order — must export
+//!    byte-identical folded stacks and profile JSONL, pinned by length
+//!    and digest.
 //! 2. **Observation is free.** A device driven through the `*_ctx` ops
 //!    with tracing enabled walks the identical trajectory (data, stats,
 //!    metrics) as one driven without tracing: the ctx plumbing and the
@@ -18,8 +18,7 @@
 
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::device::{
-    BankScrubCursor, CellOrganization, DeviceBuilder, PcmDevice, RefreshController,
-    ShardedScrubber, TelemetryConfig, TraceConfig,
+    BankScrubCursor, CellOrganization, DeviceBuilder, ShardedScrubber, TelemetryConfig, TraceConfig,
 };
 use mlc_pcm::sim::profile;
 use mlc_pcm::store::workload::{run_phased, Mix, PhasedConfig, WorkloadConfig};
@@ -32,7 +31,7 @@ const INTERVAL: f64 = 1.6;
 const SEED: u64 = 42;
 
 fn builder(seed: u64) -> DeviceBuilder {
-    PcmDevice::builder()
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -66,32 +65,10 @@ fn rounds_with_ctx() -> Vec<Vec<(usize, bool, u64)>> {
         .collect()
 }
 
-/// Sequential reference: preload, then per round scrub via the
-/// `RefreshController` and apply the ctx-carrying demand ops.
-fn sequential_trace(seed: u64, rounds: &[Vec<(usize, bool, u64)>]) -> String {
-    let mut dev = builder(seed).build().unwrap();
-    for b in 0..BLOCKS {
-        dev.write_block(b, &payload(b)).unwrap();
-    }
-    let mut ctl = RefreshController::new(INTERVAL);
-    for (k, ops) in rounds.iter().enumerate() {
-        let t = INTERVAL * (k + 1) as f64;
-        dev.advance_time(t - dev.now());
-        ctl.run_until(&mut dev, t);
-        for &(block, is_write, ctx) in ops {
-            if is_write {
-                dev.write_block_ctx(block, &payload(block), ctx).unwrap();
-            } else {
-                dev.read_block_ctx(block, ctx).unwrap();
-            }
-        }
-    }
-    jsonl::export(&dev.tracer().buffer().unwrap().snapshot())
-}
-
-/// The sharded run at `threads` threads: each thread owns a set of
-/// banks and drives their scrub cursors then their demand ops, in the
-/// same per-bank order as the sequential reference.
+/// The run at `threads` threads: preload, then per round each thread
+/// drives the scrub cursors of the banks it owns, then their
+/// ctx-carrying demand ops — the same per-bank order at every thread
+/// count.
 fn sharded_trace(seed: u64, rounds: &[Vec<(usize, bool, u64)>], threads: usize) -> String {
     let dev = builder(seed).build_sharded().unwrap();
     for b in 0..BLOCKS {
@@ -151,7 +128,11 @@ fn assert_exact_partition(p: &profile::Profile) {
 #[test]
 fn attribution_is_identical_sequential_vs_sharded() {
     let rounds = rounds_with_ctx();
-    let want_doc = sequential_trace(SEED, &rounds);
+    let want_doc = sharded_trace(SEED, &rounds, 1);
+    assert_eq!(
+        (want_doc.len(), fnv1a64(&want_doc)),
+        (35734, 0xc084_68d5_20af_bab4)
+    );
     let want = profile::build(&want_doc).unwrap();
     assert!(
         want.requests.len() >= BLOCKS,
@@ -160,8 +141,15 @@ fn attribution_is_identical_sequential_vs_sharded() {
     assert_eq!(want.orphan_events, 0);
     assert_exact_partition(&want);
     let (want_folded, want_jsonl) = (want.to_folded(), want.to_jsonl());
-    assert!(!want_folded.is_empty());
-    for threads in [1usize, 2, 8] {
+    assert_eq!(
+        (want_folded.len(), fnv1a64(&want_folded)),
+        (136, 0x92b9_9e5c_fb3b_2f14)
+    );
+    assert_eq!(
+        (want_jsonl.len(), fnv1a64(&want_jsonl)),
+        (17490, 0x9df8_4aea_08c5_9046)
+    );
+    for threads in [2usize, 8] {
         let got = profile::build(&sharded_trace(SEED, &rounds, threads)).unwrap();
         assert_eq!(
             got.to_folded(),
@@ -183,7 +171,7 @@ fn ctx_ops_do_not_perturb_device_results() {
     // model are observation, not simulation.
     let rounds = rounds_with_ctx();
     let run = |traced: bool| {
-        let b = PcmDevice::builder()
+        let b = DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(
                 LevelDesign::three_level_naive(),
             ))
@@ -195,15 +183,15 @@ fn ctx_ops_do_not_perturb_device_results() {
         } else {
             b
         };
-        let mut dev = b.build().unwrap();
+        let dev = b.build_sharded().unwrap();
         for blk in 0..BLOCKS {
             dev.write_block(blk, &payload(blk)).unwrap();
         }
-        let mut ctl = RefreshController::new(INTERVAL);
+        let mut scrubber = ShardedScrubber::new(&dev, INTERVAL);
         for (k, ops) in rounds.iter().enumerate() {
             let t = INTERVAL * (k + 1) as f64;
             dev.advance_time(t - dev.now());
-            ctl.run_until(&mut dev, t);
+            scrubber.run_until(&dev, t);
             for &(block, is_write, ctx) in ops {
                 if is_write {
                     dev.write_block_ctx(block, &payload(block), ctx).unwrap();
@@ -285,4 +273,11 @@ fn phased_ycsb_b_attributes_scrub_interference_exactly() {
     // And the export round-trips byte-stably.
     let jsonl_doc = p.to_jsonl();
     assert_eq!(profile::parse(&jsonl_doc).unwrap().to_jsonl(), jsonl_doc);
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest for pinning exported bytes.
+fn fnv1a64(doc: &str) -> u64 {
+    doc.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }

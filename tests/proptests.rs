@@ -322,13 +322,13 @@ proptest! {
         payloads in vec(vec(any::<u8>(), 64), 4),
         age_days in 0u32..3650,
     ) {
-        use mlc_pcm::device::{CellOrganization, PcmDevice};
-        let mut dev = PcmDevice::builder()
+        use mlc_pcm::device::{CellOrganization, DeviceBuilder};
+        let dev = DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(LevelDesign::three_level_naive()))
             .blocks(4)
             .banks(4)
             .seed(9)
-            .build()
+            .build_sharded()
             .unwrap();
         for (b, p) in payloads.iter().enumerate() {
             dev.write_block(b, p).unwrap();
@@ -347,41 +347,23 @@ proptest! {
     ) {
         // The determinism guarantee: a bank's outcomes are a pure
         // function of its op sequence, so as long as per-bank order is
-        // preserved, data AND stats are bit-identical to the sequential
-        // engine no matter how many threads drive the shards.
-        use mlc_pcm::device::{CellOrganization, PcmDevice};
+        // preserved, data AND stats are bit-identical to the
+        // single-thread run no matter how many threads drive the shards.
+        use mlc_pcm::device::{CellOrganization, DeviceBuilder};
         const BLOCKS: usize = 8;
         const BANKS: usize = 4;
-        let build = || {
-            PcmDevice::builder()
+        let run = |threads: usize| {
+            let dev = DeviceBuilder::new()
                 .organization(CellOrganization::ThreeLevel(
                     LevelDesign::three_level_naive(),
                 ))
                 .blocks(BLOCKS)
                 .banks(BANKS)
                 .seed(seed)
-        };
-
-        // Sequential reference run.
-        let mut seq = build().build().unwrap();
-        for (b, p) in payloads.iter().enumerate() {
-            seq.write_block(b, p).unwrap();
-        }
-        for &(block, is_write) in &ops {
-            if is_write {
-                seq.write_block(block, &payloads[block]).unwrap();
-            } else {
-                seq.read_block(block).unwrap();
-            }
-        }
-        let seq_stats = seq.bank_stats();
-        let seq_data: Vec<Vec<u8>> =
-            (0..BLOCKS).map(|b| seq.read_block(b).unwrap().data).collect();
-
-        for threads in [1usize, 2, 8] {
-            let dev = build().build_sharded().unwrap();
+                .build_sharded()
+                .unwrap();
             // Thread t owns banks t, t+threads, … — disjoint ownership
-            // keeps each bank's op order identical to the sequential run.
+            // keeps each bank's op order identical at every thread count.
             std::thread::scope(|scope| {
                 for t in 0..threads {
                     let payloads = &payloads;
@@ -408,14 +390,13 @@ proptest! {
                     });
                 }
             });
-            prop_assert_eq!(&dev.bank_stats(), &seq_stats, "stats, threads={}", threads);
-            for (b, want) in seq_data.iter().enumerate() {
-                prop_assert_eq!(
-                    &dev.read_block(b).unwrap().data,
-                    want,
-                    "block {} at threads={}", b, threads
-                );
-            }
+            let data: Vec<Vec<u8>> =
+                (0..BLOCKS).map(|b| dev.read_block(b).unwrap().data).collect();
+            (dev.bank_stats(), data)
+        };
+        let want = run(1);
+        for threads in [2usize, 8] {
+            prop_assert_eq!(&run(threads), &want, "threads={}", threads);
         }
     }
 
@@ -424,54 +405,28 @@ proptest! {
         seed in 0u64..1000,
         rounds in vec(vec((0usize..16, any::<bool>()), 0..12), 1..4),
     ) {
-        // The tentpole determinism rule: scrub-by-cursor on the sharded
-        // engine, interleaved with demand sessions, is bit-identical to
-        // the sequential RefreshController-then-demand path whenever the
-        // per-bank order of operations matches — here, each round does
-        // that bank's due scrubs first, then its demand ops in list
-        // order, exactly like the sequential reference.
+        // The tentpole determinism rule: scrub-by-cursor, interleaved
+        // with demand sessions, is bit-identical at every thread count
+        // whenever the per-bank order of operations matches — here, each
+        // round does that bank's due scrubs first, then its demand ops
+        // in list order. The single-thread run is the reference.
         use mlc_pcm::device::{
-            BankScrubCursor, CellOrganization, PcmDevice, RefreshController, ShardedScrubber,
+            BankScrubCursor, CellOrganization, DeviceBuilder, ShardedScrubber,
         };
         const BLOCKS: usize = 16;
         const BANKS: usize = 4;
         const INTERVAL: f64 = 1.6; // step = 0.1 s: boundaries are exact
-        let build = || {
-            PcmDevice::builder()
+        let payload = |b: usize| vec![b as u8 ^ 0x5A; 64];
+        let run = |threads: usize| {
+            let dev = DeviceBuilder::new()
                 .organization(CellOrganization::ThreeLevel(
                     LevelDesign::three_level_naive(),
                 ))
                 .blocks(BLOCKS)
                 .banks(BANKS)
                 .seed(seed)
-        };
-        let payload = |b: usize| vec![b as u8 ^ 0x5A; 64];
-
-        // Sequential reference: controller scrubs, then demand ops.
-        let mut seq = build().build().unwrap();
-        for b in 0..BLOCKS {
-            seq.write_block(b, &payload(b)).unwrap();
-        }
-        let mut ctl = RefreshController::new(INTERVAL);
-        for (k, ops) in rounds.iter().enumerate() {
-            let t = INTERVAL * (k + 1) as f64;
-            seq.advance_time(t - seq.now());
-            ctl.run_until(&mut seq, t);
-            for &(block, is_write) in ops {
-                if is_write {
-                    seq.write_block(block, &payload(block)).unwrap();
-                } else {
-                    seq.read_block(block).unwrap();
-                }
-            }
-        }
-        let seq_stats = seq.bank_stats();
-        let seq_metrics = seq.metrics().snapshot();
-        let seq_data: Vec<Vec<u8>> =
-            (0..BLOCKS).map(|b| seq.read_block(b).unwrap().data).collect();
-
-        for threads in [1usize, 2, 8] {
-            let dev = build().build_sharded().unwrap();
+                .build_sharded()
+                .unwrap();
             for b in 0..BLOCKS {
                 dev.write_block(b, &payload(b)).unwrap();
             }
@@ -510,20 +465,13 @@ proptest! {
                 });
                 scrubber.adopt_cursors(&cursors);
             }
-            prop_assert_eq!(&dev.bank_stats(), &seq_stats, "stats, threads={}", threads);
-            prop_assert_eq!(
-                &dev.metrics().snapshot(),
-                &seq_metrics,
-                "metrics, threads={}",
-                threads
-            );
-            for (b, want) in seq_data.iter().enumerate() {
-                prop_assert_eq!(
-                    &dev.read_block(b).unwrap().data,
-                    want,
-                    "block {} at threads={}", b, threads
-                );
-            }
+            let data: Vec<Vec<u8>> =
+                (0..BLOCKS).map(|b| dev.read_block(b).unwrap().data).collect();
+            (dev.bank_stats(), dev.metrics().snapshot(), data)
+        };
+        let want = run(1);
+        for threads in [2usize, 8] {
+            prop_assert_eq!(&run(threads), &want, "threads={}", threads);
         }
     }
 }

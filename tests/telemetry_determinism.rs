@@ -3,17 +3,17 @@
 //! The `pcm-telemetry` contract mirrors the tracing one: per-bank
 //! counters are a pure function of that bank's operation order, samples
 //! are claimed on integer model-time ticks, and the sampling points are
-//! quiesced `advance_time` calls — so the sequential engine and the
-//! sharded engine at any thread count must export *byte-identical*
-//! series JSONL for a fixed seed. And because the recorder only
+//! quiesced `advance_time` calls — so a run at any thread count must
+//! export *byte-identical* series JSONL for a fixed seed, pinned by
+//! length and digest. And because the recorder only
 //! observes, a telemetry-enabled device must walk the exact trajectory
 //! of a telemetry-free one.
 
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::core::params::REFRESH_17MIN_SECS;
 use mlc_pcm::device::{
-    BankScrubCursor, CellOrganization, DriftRiskConfig, PcmDevice, RefreshController,
-    ShardedScrubber, TelemetryConfig,
+    BankScrubCursor, CellOrganization, DeviceBuilder, DriftRiskConfig, ShardedScrubber,
+    TelemetryConfig,
 };
 use mlc_pcm::store::workload::{run_phased, PhasedConfig, WorkloadConfig};
 use mlc_pcm::store::{PcmStore, StoreConfig};
@@ -25,8 +25,8 @@ const ROUND: f64 = 1.6; // step lands on exact ns boundaries
 const SAMPLE_NS: u64 = 400_000_000; // four telemetry ticks per round
 const ROUNDS: usize = 3;
 
-fn builder(seed: u64) -> mlc_pcm::device::DeviceBuilder {
-    PcmDevice::builder()
+fn builder(seed: u64) -> DeviceBuilder {
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -41,7 +41,7 @@ fn payload(b: usize) -> Vec<u8> {
 }
 
 /// A fixed demand-op schedule: `(block, is_write)` per round, the same
-/// list every run (the oracle compares engines, not workloads).
+/// list every run (the oracle compares thread counts, not workloads).
 fn rounds() -> Vec<Vec<(usize, bool)>> {
     (0..ROUNDS)
         .map(|k| {
@@ -52,32 +52,9 @@ fn rounds() -> Vec<Vec<(usize, bool)>> {
         .collect()
 }
 
-/// Sequential reference: preload, then per round advance + scrub +
-/// demand ops. Returns the exported series document.
-fn sequential_series(seed: u64) -> String {
-    let mut dev = builder(seed).build().unwrap();
-    for b in 0..BLOCKS {
-        dev.write_block(b, &payload(b)).unwrap();
-    }
-    let mut ctl = RefreshController::new(ROUND);
-    for (k, ops) in rounds().iter().enumerate() {
-        let t = ROUND * (k + 1) as f64;
-        dev.advance_time(t - dev.now());
-        ctl.run_until(&mut dev, t);
-        for &(block, is_write) in ops {
-            if is_write {
-                dev.write_block(block, &payload(block)).unwrap();
-            } else {
-                dev.read_block(block).unwrap();
-            }
-        }
-    }
-    dev.telemetry().unwrap().snapshot().to_jsonl()
-}
-
-/// The sharded run at `threads` threads: same schedule, banks
-/// partitioned over scoped threads, telemetry sampled only from the
-/// quiesced `advance_time` boundary.
+/// The run at `threads` threads: preload, then per round advance +
+/// scrub + demand ops, banks partitioned over scoped threads, telemetry
+/// sampled only from the quiesced `advance_time` boundary.
 fn sharded_series(seed: u64, threads: usize) -> String {
     let dev = builder(seed).build_sharded().unwrap();
     for b in 0..BLOCKS {
@@ -123,15 +100,16 @@ fn sharded_series(seed: u64, threads: usize) -> String {
 
 #[test]
 fn series_jsonl_is_byte_identical_across_engines_and_thread_counts() {
-    let want = sequential_series(77);
+    let want = sharded_series(77, 1);
     assert!(
         want.lines().count() > 1 + BANKS,
         "reference run must retain sample points:\n{want}"
     );
-    // A fixed seed re-run is byte-identical…
-    assert_eq!(sequential_series(77), want, "sequential run not stable");
-    // …and so is the sharded engine at every thread count.
-    for threads in [1usize, 2, 8] {
+    // A fixed seed re-run is byte-identical, and pinned absolutely…
+    assert_eq!(sharded_series(77, 1), want, "single-thread run not stable");
+    assert_eq!((want.len(), fnv1a64(&want)), (10544, 0x9f37_23c2_345a_afbd));
+    // …and so is every thread count.
+    for threads in [2usize, 8] {
         assert_eq!(
             sharded_series(77, threads),
             want,
@@ -149,7 +127,7 @@ fn telemetry_does_not_perturb_device_results() {
     // A telemetry-enabled device and a bare one walk identical
     // trajectories: the recorder observes, it never participates.
     let run = |enabled: bool| {
-        let b = PcmDevice::builder()
+        let b = DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(
                 LevelDesign::three_level_naive(),
             ))
@@ -161,13 +139,13 @@ fn telemetry_does_not_perturb_device_results() {
         } else {
             b
         };
-        let mut dev = b.build().unwrap();
+        let dev = b.build_sharded().unwrap();
         for blk in 0..BLOCKS {
             dev.write_block(blk, &payload(blk)).unwrap();
         }
-        let mut ctl = RefreshController::new(ROUND);
+        let mut scrubber = ShardedScrubber::new(&dev, ROUND);
         dev.advance_time(2.0 * ROUND);
-        ctl.run_until(&mut dev, 2.0 * ROUND);
+        scrubber.run_until(&dev, 2.0 * ROUND);
         let data: Vec<Vec<u8>> = (0..BLOCKS)
             .map(|blk| dev.read_block(blk).unwrap().data)
             .collect();
@@ -198,7 +176,7 @@ fn obs_report_renders_risk_states_from_a_store_workload() {
     let banks = BANKS;
     let blocks = cfg.required_blocks(&store_cfg).div_ceil(banks) * banks;
     let interval_ns = (REFRESH_17MIN_SECS * 1e9) as u64; // exact: 1024 s
-    let dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: mlc_pcm::core::optimize::four_level_optimal().clone(),
             smart: true,
@@ -249,4 +227,11 @@ fn obs_report_renders_risk_states_from_a_store_workload() {
         text.contains("elevated") || text.contains("critical"),
         "non-healthy risk state must be rendered:\n{text}"
     );
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest for pinning exported bytes.
+fn fnv1a64(doc: &str) -> u64 {
+    doc.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
