@@ -1,6 +1,7 @@
-//! `math_kernels` — perf baseline and equivalence gate for the two hot
-//! math paths: bit-sliced BCH batch decode and the batched Monte-Carlo
-//! CER sampler.
+//! `math_kernels` — perf baseline and equivalence gate for the hot math
+//! paths: bit-sliced BCH batch decode, the batched Monte-Carlo CER
+//! sampler, and the block datapath kernels (residue-table BCH encode,
+//! block sense).
 //!
 //! For BCH it decodes the same 64-codeword batches through the scalar
 //! oracle (`Bch::decode` per lane) and the sliced path
@@ -11,9 +12,17 @@
 //! counts. Any divergence exits nonzero — this binary is a CI gate
 //! first and a benchmark second.
 //!
+//! For the datapath it encodes the same messages through
+//! `Bch::encode` (residue table) and `Bch::encode_reference` (polynomial
+//! long division) for BCH-1 over the 708-bit TEC message and BCH-10 over
+//! 512 bits, and senses the same written 3LC blocks through
+//! `CellArray::sense_block` and per-cell `CellArray::sense`, requiring
+//! identical outputs.
+//!
 //! Writes `BENCH_math.json`: codewords/sec for both decode paths (and
 //! the speedup ratio CI thresholds on), samples/sec for both MC paths,
-//! and the verification verdicts.
+//! ns per message or cell for both paths of each datapath kernel, and
+//! the verification verdicts.
 //!
 //! ```text
 //! math_kernels [--quick] [--out BENCH_math.json] [--inject-divergence]
@@ -25,10 +34,14 @@
 
 use std::time::Instant;
 
+use pcm_codec::tec::{TEC_CELLS, TEC_CHECK_BITS};
 use pcm_core::cer::mc::MonteCarloCer;
 use pcm_core::level::LevelDesign;
+use pcm_device::block::THREE_LEVEL_BLOCK_CELLS;
+use pcm_device::{CellArray, ThreeLevelBlock};
 use pcm_ecc::bch::Bch;
 use pcm_ecc::bitvec::BitVec;
+use pcm_wearout::fault::EnduranceModel;
 
 struct Args {
     quick: bool,
@@ -230,10 +243,124 @@ fn bench_mc(quick: bool) -> McOutcome {
     }
 }
 
+/// One new-path-vs-oracle comparison of a datapath kernel.
+struct Kernel {
+    reference_ns: f64,
+    fast_ns: f64,
+    identical: bool,
+}
+
+impl Kernel {
+    fn speedup(&self) -> f64 {
+        self.reference_ns / self.fast_ns
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"reference_ns\":{:.2},\"fast_ns\":{:.2},\"speedup\":{:.3},\"identical\":{}}}",
+            self.reference_ns,
+            self.fast_ns,
+            self.speedup(),
+            self.identical
+        )
+    }
+}
+
+/// Residue-table `Bch::encode` against `Bch::encode_reference` on the
+/// same `data_bits`-bit messages; times are ns per message.
+fn bench_encode(t: usize, data_bits: usize, quick: bool) -> Kernel {
+    let bch = Bch::new(10, t);
+    let messages: Vec<BitVec> = (0..if quick { 64 } else { 512 })
+        .map(|i| pseudo_data(data_bits, 1000 + i))
+        .collect();
+    let reps = if quick { 2 } else { 8 };
+    let t0 = Instant::now();
+    let mut reference = Vec::new();
+    for _ in 0..reps {
+        reference = messages.iter().map(|d| bch.encode_reference(d)).collect();
+    }
+    let ref_secs = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    let mut table = Vec::new();
+    for _ in 0..reps {
+        table = messages.iter().map(|d| bch.encode(d)).collect();
+    }
+    let fast_secs = t1.elapsed().as_secs_f64();
+    let identical = reference == table;
+    if !identical {
+        eprintln!("DATAPATH DIVERGENCE: BCH-{t} table encode differs from long division");
+    }
+    let per = 1e9 / (messages.len() * reps) as f64;
+    Kernel {
+        reference_ns: ref_secs * per,
+        fast_ns: fast_secs * per,
+        identical,
+    }
+}
+
+/// `CellArray::sense_block` against per-cell `CellArray::sense` over
+/// written 3LC blocks (some cells worn out) a day after the write; times
+/// are ns per cell.
+fn bench_sense(quick: bool) -> Kernel {
+    let blocks = if quick { 16 } else { 256 };
+    let design = LevelDesign::three_level_naive();
+    let slc = LevelDesign::two_level();
+    let mut array = CellArray::new(blocks * THREE_LEVEL_BLOCK_CELLS, EnduranceModel::mlc(), 13);
+    for c in (0..array.len()).step_by(97) {
+        array.set_lifetime(c, 1);
+    }
+    for b in 0..blocks {
+        let mut block = ThreeLevelBlock::new(design.clone(), b * THREE_LEVEL_BLOCK_CELLS);
+        let payload: Vec<u8> = (0..64).map(|i| (i * 29 + b * 7) as u8).collect();
+        // A block with more worn pairs than spares stays as written.
+        let _ = block.write(&mut array, 0.0, &payload);
+    }
+    let now = 86_400.0;
+    let reps = if quick { 2 } else { 16 };
+    let regions = |b: usize| {
+        let base = b * THREE_LEVEL_BLOCK_CELLS;
+        [
+            (base, TEC_CELLS, &design),
+            (base + TEC_CELLS, TEC_CHECK_BITS, &slc),
+        ]
+    };
+    let t0 = Instant::now();
+    let mut per_cell = Vec::new();
+    for _ in 0..reps {
+        per_cell.clear();
+        for b in 0..blocks {
+            for (base, n, d) in regions(b) {
+                per_cell.extend((base..base + n).map(|c| array.sense(c, d, now)));
+            }
+        }
+    }
+    let ref_secs = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    let mut block = vec![0usize; blocks * THREE_LEVEL_BLOCK_CELLS];
+    for _ in 0..reps {
+        for b in 0..blocks {
+            for (base, n, d) in regions(b) {
+                array.sense_block(base, d, now, &mut block[base..base + n]);
+            }
+        }
+    }
+    let fast_secs = t1.elapsed().as_secs_f64();
+    let identical = per_cell == block;
+    if !identical {
+        eprintln!("DATAPATH DIVERGENCE: block sense differs from per-cell sense");
+    }
+    let per = 1e9 / (array.len() * reps) as f64;
+    Kernel {
+        reference_ns: ref_secs * per,
+        fast_ns: fast_secs * per,
+        identical,
+    }
+}
+
 fn main() {
     let args = parse_args();
     println!(
-        "math_kernels: BCH-10/512 batch decode + MC CER sampler ({} mode)",
+        "math_kernels: BCH-10/512 batch decode + MC CER sampler + datapath kernels ({} mode)",
         if args.quick { "quick" } else { "full" }
     );
 
@@ -248,11 +375,29 @@ fn main() {
         mc.reference_samples_per_sec, mc.batched_samples_per_sec, mc.speedup, mc.identical
     );
 
+    let bch1 = bench_encode(1, 708, args.quick);
+    let bch10 = bench_encode(10, 512, args.quick);
+    let sense = bench_sense(args.quick);
+    for (name, k, unit) in [
+        ("bch1 encode", &bch1, "msg"),
+        ("bch10 encode", &bch10, "msg"),
+        ("sense", &sense, "cell"),
+    ] {
+        println!(
+            "  {name}: reference {:.1} ns/{unit} | fast {:.1} ns/{unit} | {:.2}x | identical: {}",
+            k.reference_ns,
+            k.fast_ns,
+            k.speedup(),
+            k.identical
+        );
+    }
+
     let doc = format!(
         "{{\n  \"bench\": \"math_kernels\",\n  \"quick\": {},\n  \"bch\": {{\"scalar_codewords_per_sec\":{:.1},\
          \"sliced_codewords_per_sec\":{:.1},\"speedup\":{:.3},\"identical\":{}}},\n  \
          \"mc\": {{\"reference_samples_per_sec\":{:.1},\"batched_samples_per_sec\":{:.1},\
-         \"speedup\":{:.3},\"identical\":{}}}\n}}\n",
+         \"speedup\":{:.3},\"identical\":{}}},\n  \
+         \"datapath\": {{\"bch1_encode\":{},\"bch10_encode\":{},\"sense\":{}}}\n}}\n",
         args.quick,
         bch.scalar_cw_per_sec,
         bch.sliced_cw_per_sec,
@@ -261,7 +406,10 @@ fn main() {
         mc.reference_samples_per_sec,
         mc.batched_samples_per_sec,
         mc.speedup,
-        mc.identical
+        mc.identical,
+        bch1.json(),
+        bch10.json(),
+        sense.json()
     );
     std::fs::write(&args.out, &doc).unwrap_or_else(|e| {
         eprintln!("cannot write {}: {e}", args.out);
@@ -269,7 +417,7 @@ fn main() {
     });
     println!("wrote {}", args.out);
 
-    if !bch.identical || !mc.identical {
+    if !bch.identical || !mc.identical || !bch1.identical || !bch10.identical || !sense.identical {
         eprintln!("RESULT DIVERGENCE: scalar and batched kernels disagree");
         std::process::exit(1);
     }

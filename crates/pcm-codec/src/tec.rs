@@ -24,20 +24,30 @@ pub const TEC_MESSAGE_BITS: usize = 2 * TEC_CELLS;
 /// Check bits of the paper's BCH-1 over the 708-bit message.
 pub const TEC_CHECK_BITS: usize = 10;
 
+/// Trits per packed `u64` word (two TEC bits each).
+const TRITS_PER_WORD: usize = 32;
+
+/// Even-position bits of a word: the low TEC bit of each of its 32 cells.
+const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
 /// Map a trit slice to its TEC bit representation (2 bits per trit,
-/// low bit first).
+/// low bit first), 32 trits per word.
 pub fn trits_to_bits(trits: &[Trit]) -> BitVec {
-    let mut v = BitVec::zeros(trits.len() * 2);
-    for (i, t) in trits.iter().enumerate() {
-        let (low, high) = t.tec_bits();
-        if low {
-            v.set(2 * i, true);
-        }
-        if high {
-            v.set(2 * i + 1, true);
-        }
-    }
-    v
+    let words = trits
+        .chunks(TRITS_PER_WORD)
+        .map(|chunk| {
+            chunk.iter().enumerate().fold(0u64, |w, (k, t)| {
+                // `(low, high)` as the 2-bit value low + 2·high: 0, 1 or 3.
+                let code = match t {
+                    Trit::S1 => 0,
+                    Trit::S2 => 1,
+                    Trit::S4 => 3,
+                };
+                w | code << (2 * k)
+            })
+        })
+        .collect();
+    BitVec::from_words(words, trits.len() * 2)
 }
 
 /// Map TEC bits back to trits. Returns the positions of `01`-pattern cells
@@ -48,16 +58,19 @@ pub fn trits_to_bits(trits: &[Trit]) -> BitVec {
 pub fn bits_to_trits(bits: &BitVec) -> (Vec<Trit>, Vec<usize>) {
     // pcm-lint: allow(no-panic-lib) — decode contract: TEC codewords are bit pairs; an odd length is an upstream framing bug
     assert!(bits.len().is_multiple_of(2));
+    // Indexed by the 2-bit value low + 2·high; the `01` pattern (2) reads S2.
+    const BY_CODE: [Trit; 4] = [Trit::S1, Trit::S2, Trit::S2, Trit::S4];
     let n = bits.len() / 2;
     let mut out = Vec::with_capacity(n);
     let mut bad = Vec::new();
-    for i in 0..n {
-        match Trit::from_tec_bits(bits.get(2 * i), bits.get(2 * i + 1)) {
-            Some(t) => out.push(t),
-            None => {
-                bad.push(i);
-                out.push(Trit::S2);
-            }
+    for (wi, &w) in bits.as_words().iter().enumerate() {
+        let cells = (n - wi * TRITS_PER_WORD).min(TRITS_PER_WORD);
+        out.extend((0..cells).map(|k| BY_CODE[(w >> (2 * k) & 3) as usize]));
+        // A low bit of 0 under a high bit of 1 marks a `01` cell.
+        let mut flagged = !w & (w >> 1) & LOW_BITS;
+        while flagged != 0 {
+            bad.push(wi * TRITS_PER_WORD + flagged.trailing_zeros() as usize / 2);
+            flagged &= flagged - 1;
         }
     }
     (out, bad)
@@ -116,6 +129,13 @@ impl TecCodec {
         let mut bits = trits_to_bits(sensed);
         let mut parity = check.clone();
         let corrected_bits = self.bch.decode(&mut bits, &mut parity)?;
+        if corrected_bits == 0 {
+            // Untouched bits map back to exactly the sensed trits.
+            return Ok(TecOutcome {
+                trits: sensed.to_vec(),
+                corrected_bits,
+            });
+        }
         let (trits, bad) = bits_to_trits(&bits);
         if !bad.is_empty() {
             // The corrected word decodes to a non-state pattern: the error
@@ -134,6 +154,69 @@ impl TecCodec {
 mod tests {
     use super::*;
     use crate::three_on_two;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The per-bit mapping [`trits_to_bits`] replaced: the oracle.
+    fn trits_to_bits_reference(trits: &[Trit]) -> BitVec {
+        let mut v = BitVec::zeros(trits.len() * 2);
+        for (i, t) in trits.iter().enumerate() {
+            let (low, high) = t.tec_bits();
+            if low {
+                v.set(2 * i, true);
+            }
+            if high {
+                v.set(2 * i + 1, true);
+            }
+        }
+        v
+    }
+
+    /// The per-bit mapping [`bits_to_trits`] replaced: the oracle.
+    fn bits_to_trits_reference(bits: &BitVec) -> (Vec<Trit>, Vec<usize>) {
+        let n = bits.len() / 2;
+        let mut out = Vec::with_capacity(n);
+        let mut bad = Vec::new();
+        for i in 0..n {
+            match Trit::from_tec_bits(bits.get(2 * i), bits.get(2 * i + 1)) {
+                Some(t) => out.push(t),
+                None => {
+                    bad.push(i);
+                    out.push(Trit::S2);
+                }
+            }
+        }
+        (out, bad)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn packed_trits_to_bits_matches_per_bit(digits in vec(0usize..3, 0..=400)) {
+            let trits: Vec<Trit> = digits.into_iter().map(Trit::from_index).collect();
+            prop_assert_eq!(trits_to_bits(&trits), trits_to_bits_reference(&trits));
+        }
+
+        #[test]
+        fn packed_bits_to_trits_matches_per_bit(
+            pairs in vec(0u8..4, 0..=400),
+            sparse_bad in any::<bool>(),
+        ) {
+            // Every 2-bit pattern, `01` included; half the cases keep
+            // `01` rare so the clean and the flagged paths both run.
+            let bools: Vec<bool> = pairs
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &c)| {
+                    let c = if sparse_bad && c == 2 && i % 17 != 0 { 3 } else { c };
+                    [c & 1 == 1, c & 2 == 2]
+                })
+                .collect();
+            let bits = BitVec::from_bools(&bools);
+            prop_assert_eq!(bits_to_trits(&bits), bits_to_trits_reference(&bits));
+        }
+    }
 
     fn sample_trits(n: usize, seed: u64) -> Vec<Trit> {
         let mut x = seed | 1;

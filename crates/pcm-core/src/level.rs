@@ -293,12 +293,18 @@ impl LevelDesign {
         (self.n_levels() as f64).log2()
     }
 
-    /// Map a sensed log-resistance to a state index.
+    /// Map a sensed log-resistance to a state index: the index of the
+    /// first threshold above `logr`, or the top state if there is none.
     pub fn sense(&self, logr: f64) -> usize {
-        self.thresholds
-            .iter()
-            .position(|&t| logr < t)
-            .unwrap_or(self.n_levels() - 1)
+        // A full backward scan instead of an early-exit search: the select
+        // has no data-dependent branch, which mispredicts on random states.
+        let mut state = self.n_levels() - 1;
+        for (i, &t) in self.thresholds.iter().enumerate().rev() {
+            if logr < t {
+                state = i;
+            }
+        }
+        state
     }
 
     /// Lower/upper sensing boundaries of state `i` (`None` at the extremes).
@@ -436,6 +442,27 @@ mod tests {
         assert_eq!(d.sense(4.7), 2);
         assert_eq!(d.sense(5.6), 3);
         assert_eq!(d.sense(99.0), 3);
+
+        // The first threshold above `logr` wins, for any threshold order.
+        let mut unsorted = LevelDesign::four_level_naive();
+        unsorted.thresholds = vec![4.5, 3.5, 5.5];
+        for d in [d, LevelDesign::three_level_naive(), unsorted] {
+            for logr in [
+                f64::NEG_INFINITY,
+                2.0,
+                3.5,
+                4.0,
+                4.5,
+                5.0,
+                5.5,
+                6.0,
+                f64::INFINITY,
+                f64::NAN,
+            ] {
+                let first = d.thresholds.iter().position(|&t| logr < t);
+                assert_eq!(d.sense(logr), first.unwrap_or(d.n_levels() - 1), "{logr}");
+            }
+        }
     }
 
     #[test]

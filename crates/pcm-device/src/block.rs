@@ -20,10 +20,10 @@
 //!   DESIGN.md).
 
 use crate::array::CellArray;
+use pcm_codec::gray;
 use pcm_codec::smart;
 use pcm_codec::tec::TecCodec;
 use pcm_codec::ternary::Trit;
-use pcm_codec::{gray, three_on_two};
 use pcm_core::level::LevelDesign;
 use pcm_ecc::bch::Bch;
 use pcm_ecc::bitvec::BitVec;
@@ -156,13 +156,10 @@ impl ThreeLevelBlock {
                     // BCH-1 safety net (§6.4).
                 }
             }
+            // The SLC check cells follow the MLC cells, where `read` senses them.
+            let check_base = self.base + self.codec.total_cells();
             for (j, b) in (0..check.len()).map(|j| (j, check.get(j))) {
-                let out = array.program(
-                    self.base + three_on_two::BLOCK_DATA_CELLS + 12 + j,
-                    &self.slc,
-                    usize::from(b),
-                    now,
-                );
+                let out = array.program(check_base + j, &self.slc, usize::from(b), now);
                 attempts += out.attempts as u64;
                 if out.new_fault.is_some() {
                     new_faults += 1; // SLC check cell faults → BCH absorbs
@@ -187,16 +184,15 @@ impl ThreeLevelBlock {
     /// Read 64 bytes through the full Figure-9 decode path.
     pub fn read(&self, array: &CellArray, now: f64) -> Result<ReadReport, BlockError> {
         // 1. PCM array read.
-        let sensed: Vec<Trit> = (0..self.codec.total_cells())
-            .map(|i| Trit::from_index(array.sense(self.base + i, &self.design, now)))
-            .collect();
-        let mut check = BitVec::zeros(self.tec.check_bits());
-        for j in 0..check.len() {
-            let b = array.sense(
-                self.base + three_on_two::BLOCK_DATA_CELLS + 12 + j,
-                &self.slc,
-                now,
-            );
+        let mlc = self.codec.total_cells();
+        let mut states = [0usize; THREE_LEVEL_BLOCK_CELLS];
+        let (data_states, check_states) = states.split_at_mut(mlc);
+        // The SLC check cells follow the 354 MLC cells.
+        array.sense_block(self.base, &self.design, now, data_states);
+        array.sense_block(self.base + mlc, &self.slc, now, check_states);
+        let sensed: Vec<Trit> = data_states.iter().map(|&s| Trit::from_index(s)).collect();
+        let mut check = BitVec::zeros(check_states.len());
+        for (j, &b) in check_states.iter().enumerate() {
             check.set(j, b == 1);
         }
         // 2. Transient error correction (TEC).
@@ -234,7 +230,7 @@ pub struct FourLevelBlock {
 }
 
 /// Cells used by a [`FourLevelBlock`]: 256 data + 50 parity.
-pub const FOUR_LEVEL_BLOCK_CELLS: usize = 306;
+pub const FOUR_LEVEL_BLOCK_CELLS: usize = DATA_CELLS_4LC + PARITY_CELLS_4LC;
 
 const DATA_CELLS_4LC: usize = 256;
 const PARITY_BITS_4LC: usize = 100;
@@ -320,13 +316,10 @@ impl FourLevelBlock {
     /// Read 64 bytes: array read (with the ECP MUX of Figure 14) →
     /// BCH-10 → smart-encoding symbol decode.
     pub fn read(&self, array: &CellArray, now: f64) -> Result<ReadReport, BlockError> {
-        let mut states: Vec<usize> = (0..DATA_CELLS_4LC)
-            .map(|i| array.sense(self.base + i, &self.design, now))
-            .collect();
+        let mut states = vec![0usize; FOUR_LEVEL_BLOCK_CELLS];
+        array.sense_block(self.base, &self.design, now, &mut states);
+        let parity_states = states.split_off(DATA_CELLS_4LC);
         self.ecp.apply(&mut states);
-        let parity_states: Vec<usize> = (0..PARITY_CELLS_4LC)
-            .map(|j| array.sense(self.base + DATA_CELLS_4LC + j, &self.design, now))
-            .collect();
 
         let mut stored_bits = gray::decode_block(&states, DATA_BITS);
         let mut parity = gray::decode_block(&parity_states, PARITY_BITS_4LC);

@@ -262,13 +262,14 @@ impl GenericBlock {
     /// enumerative decode.
     pub fn read(&self, array: &CellArray, now: f64) -> Result<ReadReport, BlockError> {
         let per = self.code.symbols_per_group();
-        let sensed: Vec<u8> = (0..self.mlc_cells())
-            .map(|i| array.sense(self.base_cell + i, &self.design, now) as u8)
-            .collect();
+        let mut states = vec![0usize; self.cells()];
+        let (mlc, slc) = states.split_at_mut(self.mlc_cells());
+        array.sense_block(self.base_cell, &self.design, now, mlc);
+        array.sense_block(self.base_cell + self.mlc_cells(), &self.slc, now, slc);
+        let sensed: Vec<u8> = mlc.iter().map(|&s| s as u8).collect();
         let mut bits = self.tec_bits(&sensed);
         let mut check = BitVec::zeros(self.bch.parity_bits());
-        for j in 0..check.len() {
-            let b = array.sense(self.base_cell + self.mlc_cells() + j, &self.slc, now);
+        for (j, &b) in slc.iter().enumerate() {
             check.set(j, b == 1);
         }
         let corrected = self

@@ -50,6 +50,14 @@ struct BchTables {
     /// Frobenius matrix: `sq_cols[b]` = `(α^b)²`, the image of basis bit
     /// `b` under squaring (derives even syndromes from odd ones).
     sq_cols: Vec<u32>,
+    /// Residue table: entry `i` (`residue_words` words, bit `j` ↔ x^j) is
+    /// `x^(parity_bits + i) mod g(x)`, the parity image of data bit `i`
+    /// alone, for every data position `i < n − parity_bits`. Division by
+    /// g is linear over GF(2), so the parity of any message is the XOR of
+    /// the entries of its set bits.
+    residues: Vec<u64>,
+    /// Words per residue entry: `parity_bits.div_ceil(64)`.
+    residue_words: usize,
 }
 
 /// A t-error-correcting binary BCH code over GF(2^m).
@@ -123,6 +131,8 @@ impl BchTables {
                 gf.mul(a, a)
             })
             .collect();
+        let residue_words = parity_bits.div_ceil(64);
+        let residues = residue_table(&generator, parity_bits, n - parity_bits);
         Self {
             gf,
             t,
@@ -131,8 +141,66 @@ impl BchTables {
             generator,
             chien_cols,
             sq_cols,
+            residues,
+            residue_words,
         }
     }
+
+    /// XOR of the residue entries of `data`'s set bits:
+    /// `(x^p · d(x)) mod g(x)` as `residue_words` words. One pass over the
+    /// set bits per word of the result keeps its accumulator in a register.
+    fn residue(&self, data: &BitVec) -> Vec<u64> {
+        let w = self.residue_words;
+        (0..w)
+            .map(|c| {
+                let mut acc = 0u64;
+                for (wi, &word) in data.as_words().iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let i = wi * 64 + bits.trailing_zeros() as usize;
+                        acc ^= self.residues[i * w + c];
+                        bits &= bits - 1;
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+}
+
+/// `x^(p + i) mod g(x)` for `i` in `0..k`, `p = deg g`, packed
+/// `p.div_ceil(64)` words per entry. Each entry is the previous one times
+/// x, reduced by adding g's low part whenever the x^p term appears.
+fn residue_table(generator: &BinPoly, p: usize, k: usize) -> Vec<u64> {
+    let w = p.div_ceil(64);
+    let mut g_low = vec![0u64; w];
+    for j in (0..p).filter(|&j| generator.coeff(j)) {
+        g_low[j / 64] |= 1 << (j % 64);
+    }
+    let mut table = Vec::with_capacity(k * w);
+    // x^p ≡ g(x) − x^p (mod g): the low part of the monic generator.
+    let mut r = g_low.clone();
+    for _ in 0..k {
+        table.extend_from_slice(&r);
+        // r ← x · r mod g: shift the p-bit value up one place; the x^p
+        // term this pushes out is replaced by g's low part.
+        let overflow = r[w - 1] >> ((p - 1) % 64) & 1 == 1;
+        let mut carry = 0u64;
+        for word in r.iter_mut() {
+            let next = *word >> 63;
+            *word = *word << 1 | carry;
+            carry = next;
+        }
+        if !p.is_multiple_of(64) {
+            r[w - 1] &= (1u64 << (p % 64)) - 1;
+        }
+        if overflow {
+            for (a, b) in r.iter_mut().zip(&g_low) {
+                *a ^= b;
+            }
+        }
+    }
+    table
 }
 
 /// The process-wide BCH-table registry: the declared lock wrapper for
@@ -191,16 +259,17 @@ impl Bch {
     }
 
     /// Systematically encode `data`, returning the parity block
-    /// (`parity_bits` bits).
+    /// (`parity_bits` bits): `(x^p · d(x)) mod g(x)`, as the XOR of the
+    /// precomputed residues of `data`'s set bits.
     pub fn encode(&self, data: &BitVec) -> BitVec {
-        // pcm-lint: allow(no-panic-lib) — encode contract: block layouts fix the message length at construction
-        assert!(
-            data.len() <= self.max_data_bits(),
-            "message of {} bits exceeds k = {}",
-            data.len(),
-            self.max_data_bits()
-        );
-        // r(x) = (x^p · d(x)) mod g(x).
+        self.check_message_len(data);
+        BitVec::from_words(self.tables.residue(data), self.tables.parity_bits)
+    }
+
+    /// Polynomial long division of `x^p · d(x)` by `g(x)`: the encoder
+    /// [`Bch::encode`] replaced, kept as its test and benchmark oracle.
+    pub fn encode_reference(&self, data: &BitVec) -> BitVec {
+        self.check_message_len(data);
         let pb = self.tables.parity_bits;
         let mut shifted = BinPoly::zero();
         for i in data.ones() {
@@ -216,18 +285,49 @@ impl Bch {
         parity
     }
 
+    /// Both encode and decode accept messages of at most `k = n − p` bits:
+    /// a longer one would wrap its high positions modulo n.
+    fn check_message_len(&self, data: &BitVec) {
+        // pcm-lint: allow(no-panic-lib) — codec contract: block layouts fix the message length at construction
+        assert!(
+            data.len() <= self.max_data_bits(),
+            "message of {} bits exceeds k = {}",
+            data.len(),
+            self.max_data_bits()
+        );
+    }
+
     /// Decode in place: corrects up to t bit errors across `data` and
     /// `parity`. Returns the number of corrected bits, or
     /// [`BchError::Uncorrectable`] when the pattern exceeds the code's
     /// capability *and* this is detectable (the residual syndrome check
     /// catches every miscorrection attempt that leaves the codeword space).
+    ///
+    /// A clean read costs one residue: the received word is a codeword
+    /// exactly when `(x^p · d(x) + r(x)) mod g(x)` is zero, which holds
+    /// exactly when every syndrome is zero (g is the least common multiple
+    /// of the minimal polynomials of α^1..α^2t).
     pub fn decode(&self, data: &mut BitVec, parity: &mut BitVec) -> Result<usize, BchError> {
+        self.check_message_len(data);
         // pcm-lint: allow(no-panic-lib) — shape contract: parity buffers are sized by this code, see `parity_bits`
         assert_eq!(
             parity.len(),
             self.tables.parity_bits,
             "parity length mismatch"
         );
+        let mut residue = self.tables.residue(data);
+        for (r, p) in residue.iter_mut().zip(parity.as_words()) {
+            *r ^= p;
+        }
+        if residue.iter().all(|&r| r == 0) {
+            return Ok(0);
+        }
+        self.decode_syndromes(data, parity)
+    }
+
+    /// The syndrome decoder behind [`Bch::decode`]'s clean-read check:
+    /// syndromes → Berlekamp–Massey → Chien search → residual check.
+    fn decode_syndromes(&self, data: &mut BitVec, parity: &mut BitVec) -> Result<usize, BchError> {
         let used_len = self.tables.parity_bits + data.len();
 
         let syndromes = self.syndromes(data, parity);
@@ -328,6 +428,9 @@ impl Bch {
                 d.len() == data_bits && p.len() == tb.parity_bits,
                 "lane length mismatch within batch"
             );
+        }
+        if let Some(d) = data.first() {
+            self.check_message_len(d);
         }
         let used_len = tb.parity_bits + data_bits;
 
@@ -543,6 +646,8 @@ impl Bch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn noisy(data: &BitVec, parity: &BitVec, flips: &[usize]) -> (BitVec, BitVec) {
         let p = parity.len();
@@ -884,6 +989,104 @@ mod tests {
         assert!(Arc::ptr_eq(&a.tables.gf, &c.tables.gf));
         let cloned = a.clone();
         assert!(Arc::ptr_eq(&a.tables, &cloned.tables));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds k")]
+    fn decode_rejects_oversized_messages() {
+        // Before the length check an oversized message wrapped its high
+        // positions modulo n and "corrected" the wrong bit.
+        let bch = Bch::new(4, 1);
+        let mut data = BitVec::zeros(bch.max_data_bits() + 1);
+        data.set(bch.max_data_bits(), true);
+        let mut parity = BitVec::zeros(bch.parity_bits());
+        let _ = bch.decode(&mut data, &mut parity);
+    }
+
+    #[test]
+    fn residue_table_matches_division_at_every_position() {
+        // Single-bit messages across parity widths below, exactly at
+        // ((8, 8): 64 bits) and above a 64-bit word boundary.
+        for (m, t) in [(4u32, 1usize), (8, 8), (10, 1), (10, 10), (13, 5), (13, 6)] {
+            let bch = Bch::new(m, t);
+            // No entry carries bits at or above x^p.
+            let (p, w) = (bch.parity_bits(), bch.tables.residue_words);
+            let top = p - 64 * (w - 1);
+            if top < 64 {
+                assert!(bch.tables.residues.chunks(w).all(|e| e[w - 1] >> top == 0));
+            }
+            let k = bch.max_data_bits();
+            for i in (0..k).step_by(1 + k / 300).chain([k - 1]) {
+                let mut data = BitVec::zeros(k);
+                data.set(i, true);
+                assert_eq!(
+                    bch.encode(&data),
+                    bch.encode_reference(&data),
+                    "m={m} t={t} bit {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clean_read_check_matches_syndrome_decoder_for_every_single_flip() {
+        // Every position of parity‖data, so a residue that is zero in one
+        // word but not another (parity bits 64..100 of BCH-10) is covered.
+        for (t, len) in [(1usize, 708usize), (10, 512)] {
+            let bch = Bch::new(10, t);
+            let data = pseudo_data(len, 77);
+            let parity = bch.encode(&data);
+            for e in 0..bch.parity_bits() + len {
+                let (mut d1, mut p1) = noisy(&data, &parity, &[e]);
+                let (mut d2, mut p2) = (d1.clone(), p1.clone());
+                assert_eq!(bch.decode(&mut d1, &mut p1), Ok(1), "t={t} flip {e}");
+                assert_eq!(bch.decode_syndromes(&mut d2, &mut p2), Ok(1));
+                assert_eq!((d1, p1), (d2, p2), "t={t} flip {e}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn table_encode_matches_long_division(
+            t10 in any::<bool>(),
+            len in 1usize..=923,
+            seed in any::<u64>(),
+        ) {
+            let bch = Bch::new(10, if t10 { 10 } else { 1 });
+            let data = pseudo_data(len.min(bch.max_data_bits()), seed);
+            prop_assert_eq!(bch.encode(&data), bch.encode_reference(&data));
+        }
+
+        #[test]
+        fn clean_read_check_matches_syndrome_decoder(
+            t10 in any::<bool>(),
+            len in 1usize..=923,
+            seed in any::<u64>(),
+            extra in 0usize..=2,
+            picks in vec(any::<u64>(), 12),
+        ) {
+            // 0..=t+2 flips anywhere in parity‖data: both paths must
+            // return the same result and leave the same bits.
+            let bch = Bch::new(10, if t10 { 10 } else { 1 });
+            let data = pseudo_data(len.min(bch.max_data_bits()), seed);
+            let parity = bch.encode(&data);
+            let used = bch.parity_bits() + data.len();
+            let weight = (seed as usize) % (bch.t() + 1) + extra;
+            let mut flips: Vec<usize> =
+                picks[..weight].iter().map(|&x| (x % used as u64) as usize).collect();
+            flips.sort_unstable();
+            flips.dedup();
+            let (mut d1, mut p1) = noisy(&data, &parity, &flips);
+            let (mut d2, mut p2) = (d1.clone(), p1.clone());
+            let fast = bch.decode(&mut d1, &mut p1);
+            let oracle = bch.decode_syndromes(&mut d2, &mut p2);
+            prop_assert_eq!(fast, oracle);
+            prop_assert_eq!(d1, d2);
+            prop_assert_eq!(p1, p2);
+        }
     }
 
     #[test]

@@ -41,24 +41,23 @@ impl BitVec {
             "len {len} > {} bits",
             bytes.len() * 8
         );
-        let mut v = Self::zeros(len);
-        for i in 0..len {
-            if bytes[i / 8] >> (i % 8) & 1 == 1 {
-                v.set(i, true);
-            }
-        }
-        v
+        let words = bytes[..len.div_ceil(8)]
+            .chunks(8)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (k, &b)| w | u64::from(b) << (8 * k))
+            })
+            .collect();
+        Self::from_words(words, len)
     }
 
     /// Serialize to bytes, LSB-first within each byte; the final partial
     /// byte is zero-padded.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len.div_ceil(8)];
-        for i in 0..self.len {
-            if self.get(i) {
-                out[i / 8] |= 1 << (i % 8);
-            }
-        }
+        let mut out: Vec<u8> = self.words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        out.truncate(self.len.div_ceil(8));
         out
     }
 
@@ -248,6 +247,25 @@ mod tests {
         assert_eq!(v13.len(), 13);
         for i in 0..13 {
             assert_eq!(v13.get(i), bytes[i / 8] >> (i % 8) & 1 == 1);
+        }
+    }
+
+    #[test]
+    fn word_packed_bytes_match_per_bit() {
+        // Every length 0..=200 over a 30-byte source: the bits read, the
+        // zero tail, and the zero-padded last byte of `to_bytes`.
+        let bytes: Vec<u8> = (0..30u32).map(|i| (i * 151 + 7) as u8).collect();
+        for len in 0..=200 {
+            let v = BitVec::from_bytes(&bytes, len);
+            let mut want = BitVec::zeros(len);
+            let mut back = vec![0u8; len.div_ceil(8)];
+            for i in 0..len {
+                let bit = bytes[i / 8] >> (i % 8) & 1 == 1;
+                want.set(i, bit);
+                back[i / 8] |= u8::from(bit) << (i % 8);
+            }
+            assert_eq!(v, want, "len {len}");
+            assert_eq!(v.to_bytes(), back, "len {len}");
         }
     }
 

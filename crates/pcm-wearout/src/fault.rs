@@ -36,6 +36,18 @@ impl FaultKind {
             FaultKind::StuckSet { revivable } => revivable,
         }
     }
+
+    /// The log10 resistance the cell is pinned at once this fault is
+    /// handled: the amorphous extreme (6.0) for stuck-reset and revived
+    /// stuck-set cells, the crystalline extreme (3.0) for a stuck-set
+    /// cell the reverse current cannot revive.
+    pub fn stuck_logr(self) -> f64 {
+        if self.can_force_s4() {
+            6.0
+        } else {
+            3.0
+        }
+    }
 }
 
 /// Endurance (wearout) model parameters.

@@ -108,6 +108,17 @@ impl MarkSpareCodec {
             self.data_pairs,
             "need one value per data pair"
         );
+        Ok(self.layout(failed_pairs, |p| values[p])?.collect())
+    }
+
+    /// The physical pairs for data pairs `0..data_pairs` whose values
+    /// `value(p)` yields, with `failed_pairs` marked INV and data shifted
+    /// past them into the spares.
+    fn layout(
+        &self,
+        failed_pairs: &[usize],
+        value: impl Fn(usize) -> u8,
+    ) -> Result<impl Iterator<Item = (Trit, Trit)>, MarkSpareError> {
         let mut failed = vec![false; self.total_pairs()];
         for &f in failed_pairs {
             // pcm-lint: allow(no-panic-lib) — contract: failed-pair indices are bounded by the block layout
@@ -121,21 +132,19 @@ impl MarkSpareCodec {
                 spares: self.spare_pairs,
             });
         }
-        let mut out = Vec::with_capacity(self.total_pairs());
+        let data_pairs = self.data_pairs;
         let mut next_value = 0usize;
-        for &is_failed in &failed {
+        Ok(failed.into_iter().map(move |is_failed| {
             if is_failed {
-                out.push(inv_pair());
-            } else if next_value < values.len() {
-                out.push(encode_pair(values[next_value]));
+                inv_pair()
+            } else if next_value < data_pairs {
                 next_value += 1;
+                encode_pair(value(next_value - 1))
             } else {
                 // Unused spare: park at a benign data value.
-                out.push(encode_pair(0));
+                encode_pair(0)
             }
-        }
-        debug_assert_eq!(next_value, values.len(), "all data placed");
-        Ok(out)
+        }))
     }
 
     /// Recover the logical values by skipping INV pairs (reference
@@ -143,9 +152,18 @@ impl MarkSpareCodec {
     pub fn decode_pairs(&self, pairs: &[(Trit, Trit)]) -> Result<Vec<u8>, MarkSpareError> {
         // pcm-lint: allow(no-panic-lib) — shape contract: one pair per physical pair of the block layout
         assert_eq!(pairs.len(), self.total_pairs());
+        self.skip_inv(pairs.iter().copied())
+    }
+
+    /// The data values of `pairs` in order, INV pairs skipped, or the
+    /// error when fewer than `data_pairs` values remain.
+    fn skip_inv(
+        &self,
+        pairs: impl Iterator<Item = (Trit, Trit)>,
+    ) -> Result<Vec<u8>, MarkSpareError> {
         let mut out = Vec::with_capacity(self.data_pairs);
         let mut marked = 0usize;
-        for &(a, b) in pairs {
+        for (a, b) in pairs {
             match decode_pair(a, b) {
                 PairValue::Inv => marked += 1,
                 PairValue::Data(v) => {
@@ -224,7 +242,8 @@ impl MarkSpareCodec {
     }
 
     /// Encode a 512-bit block (or shorter) into the full physical trit
-    /// stream, 3-ON-2 packing + mark-and-spare layout.
+    /// stream, 3-ON-2 packing + mark-and-spare layout. Pair `p`'s value is
+    /// bits `3p..3p+3` of `data`, read with word shifts.
     pub fn encode_block(
         &self,
         data: &BitVec,
@@ -232,8 +251,59 @@ impl MarkSpareCodec {
     ) -> Result<Vec<Trit>, MarkSpareError> {
         // pcm-lint: allow(no-panic-lib) — contract: data length is bounded by the block layout
         assert!(data.len() <= self.data_pairs * 3);
-        let mut values = Vec::with_capacity(self.data_pairs);
-        for p in 0..self.data_pairs {
+        let words = data.as_words();
+        let mut out = Vec::with_capacity(self.total_cells());
+        for (a, b) in self.layout(failed_pairs, |p| value_at(words, 3 * p))? {
+            out.extend([a, b]);
+        }
+        Ok(out)
+    }
+
+    /// Decode the full physical trit stream back to `len_bits` of data,
+    /// skipping INV pairs and packing each 3-bit value with word shifts.
+    pub fn decode_block(&self, trits: &[Trit], len_bits: usize) -> Result<BitVec, MarkSpareError> {
+        // pcm-lint: allow(no-panic-lib) — shape contract: one trit per physical cell of the block layout
+        assert_eq!(trits.len(), self.total_cells());
+        let values = self.skip_inv(trits.chunks_exact(2).map(|c| (c[0], c[1])))?;
+        let mut words = vec![0u64; (values.len() * 3).max(len_bits).div_ceil(64)];
+        for (p, &v) in values.iter().enumerate() {
+            let (wi, off) = (3 * p / 64, 3 * p % 64);
+            words[wi] |= u64::from(v) << off;
+            if off > 61 {
+                words[wi + 1] |= u64::from(v) >> (64 - off);
+            }
+        }
+        // `from_words` drops the bits of the last value past `len_bits`.
+        Ok(BitVec::from_words(words, len_bits))
+    }
+}
+
+/// The 3-bit value at bit `pos` of `words` (bits past the end read 0).
+fn value_at(words: &[u64], pos: usize) -> u8 {
+    let (wi, off) = (pos / 64, pos % 64);
+    let lo = words.get(wi).map_or(0, |w| w >> off);
+    let hi = if off > 61 {
+        words.get(wi + 1).map_or(0, |w| w << (64 - off))
+    } else {
+        0
+    };
+    ((lo | hi) & 7) as u8
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::collection::{btree_set, vec};
+    use proptest::prelude::*;
+
+    /// The per-bit encoder [`MarkSpareCodec::encode_block`] replaced.
+    fn encode_block_reference(
+        c: &MarkSpareCodec,
+        data: &BitVec,
+        failed_pairs: &[usize],
+    ) -> Result<Vec<Trit>, MarkSpareError> {
+        let mut values = Vec::with_capacity(c.data_pairs);
+        for p in 0..c.data_pairs {
             let mut v = 0u8;
             for b in 0..3 {
                 let idx = p * 3 + b;
@@ -243,16 +313,18 @@ impl MarkSpareCodec {
             }
             values.push(v);
         }
-        let pairs = self.encode_pairs(&values, failed_pairs)?;
+        let pairs = c.encode_pairs(&values, failed_pairs)?;
         Ok(pairs.into_iter().flat_map(|(a, b)| [a, b]).collect())
     }
 
-    /// Decode the full physical trit stream back to `len_bits` of data.
-    pub fn decode_block(&self, trits: &[Trit], len_bits: usize) -> Result<BitVec, MarkSpareError> {
-        // pcm-lint: allow(no-panic-lib) — shape contract: one trit per physical cell of the block layout
-        assert_eq!(trits.len(), self.total_cells());
+    /// The per-bit decoder [`MarkSpareCodec::decode_block`] replaced.
+    fn decode_block_reference(
+        c: &MarkSpareCodec,
+        trits: &[Trit],
+        len_bits: usize,
+    ) -> Result<BitVec, MarkSpareError> {
         let pairs: Vec<(Trit, Trit)> = trits.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-        let values = self.decode_pairs(&pairs)?;
+        let values = c.decode_pairs(&pairs)?;
         let mut out = BitVec::zeros(len_bits);
         for (p, &v) in values.iter().enumerate() {
             for b in 0..3 {
@@ -264,11 +336,40 @@ impl MarkSpareCodec {
         }
         Ok(out)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn word_packed_block_codec_matches_per_bit(
+            bools in vec(any::<bool>(), 0..=513),
+            failed in btree_set(0usize..177, 0..=7),
+            corrupt in vec((0usize..354, 0usize..3), 0..=8),
+            len_bits in 0usize..=600,
+        ) {
+            // 0..=7 failed pairs (7 must fail on both paths), then random
+            // cell corruptions (extra INV pairs, changed values) before
+            // decoding at lengths short of, equal to and past 513 bits.
+            let c = MarkSpareCodec::default();
+            let data = BitVec::from_bools(&bools);
+            let failed: Vec<usize> = failed.into_iter().collect();
+            let encoded = c.encode_block(&data, &failed);
+            prop_assert_eq!(&encoded, &encode_block_reference(&c, &data, &failed));
+            if let Ok(mut trits) = encoded {
+                prop_assert_eq!(
+                    c.decode_block(&trits, data.len()),
+                    decode_block_reference(&c, &trits, data.len())
+                );
+                for (cell, digit) in corrupt {
+                    trits[cell] = Trit::from_index(digit);
+                }
+                prop_assert_eq!(
+                    c.decode_block(&trits, len_bits),
+                    decode_block_reference(&c, &trits, len_bits)
+                );
+            }
+        }
+    }
 
     fn values(n: usize, seed: u64) -> Vec<u8> {
         let mut x = seed | 1;
