@@ -1,7 +1,7 @@
 //! `math_kernels` — perf baseline and equivalence gate for the hot math
 //! paths: bit-sliced BCH batch decode, the batched Monte-Carlo CER
 //! sampler, and the block datapath kernels (residue-table BCH encode,
-//! block sense).
+//! block sense, batched normals).
 //!
 //! For BCH it decodes the same 64-codeword batches through the scalar
 //! oracle (`Bch::decode` per lane) and the sliced path
@@ -17,11 +17,14 @@
 //! long division) for BCH-1 over the 708-bit TEC message and BCH-10 over
 //! 512 bits, and senses the same written 3LC blocks through
 //! `CellArray::sense_block` and per-cell `CellArray::sense`, requiring
-//! identical outputs.
+//! identical outputs. It draws the same normals from a bare
+//! `Xoshiro256pp::next_normal` and from a `NormalStream`, requiring
+//! identical values and an identical generator state after a final
+//! `NormalStream::rng()`.
 //!
 //! Writes `BENCH_math.json`: codewords/sec for both decode paths (and
 //! the speedup ratio CI thresholds on), samples/sec for both MC paths,
-//! ns per message or cell for both paths of each datapath kernel, and
+//! ns per message, cell or normal for both paths of each datapath kernel, and
 //! the verification verdicts.
 //!
 //! ```text
@@ -37,6 +40,7 @@ use std::time::Instant;
 use pcm_codec::tec::{TEC_CELLS, TEC_CHECK_BITS};
 use pcm_core::cer::mc::MonteCarloCer;
 use pcm_core::level::LevelDesign;
+use pcm_core::rng::{NormalSource, NormalStream, Xoshiro256pp};
 use pcm_device::block::THREE_LEVEL_BLOCK_CELLS;
 use pcm_device::{CellArray, ThreeLevelBlock};
 use pcm_ecc::bch::Bch;
@@ -357,6 +361,42 @@ fn bench_sense(quick: bool) -> Kernel {
     }
 }
 
+/// `NormalStream` against `Xoshiro256pp::next_normal` on the same seed;
+/// times are ns per normal. Identical means every value has the same bits
+/// and the generators agree after the stream's final `rng()`.
+fn bench_normals(quick: bool) -> Kernel {
+    let n = if quick { 1 << 16 } else { 1 << 22 };
+    let seed = 20_130_817;
+    let mut bare = Xoshiro256pp::seed_from_u64(seed);
+    let mut reference = Vec::with_capacity(n);
+    let t0 = Instant::now();
+    for _ in 0..n {
+        reference.push(bare.next_normal());
+    }
+    let ref_secs = t0.elapsed().as_secs_f64();
+    let mut stream = NormalStream::new(Xoshiro256pp::seed_from_u64(seed));
+    let mut batched = Vec::with_capacity(n);
+    let t1 = Instant::now();
+    for _ in 0..n {
+        batched.push(stream.next_normal());
+    }
+    let fast_secs = t1.elapsed().as_secs_f64();
+    let same_bits = reference
+        .iter()
+        .zip(&batched)
+        .all(|(a, b)| a.to_bits() == b.to_bits());
+    let identical = same_bits && *stream.rng() == bare;
+    if !identical {
+        eprintln!("DATAPATH DIVERGENCE: NormalStream differs from Xoshiro256pp::next_normal");
+    }
+    let per = 1e9 / n as f64;
+    Kernel {
+        reference_ns: ref_secs * per,
+        fast_ns: fast_secs * per,
+        identical,
+    }
+}
+
 fn main() {
     let args = parse_args();
     println!(
@@ -378,10 +418,12 @@ fn main() {
     let bch1 = bench_encode(1, 708, args.quick);
     let bch10 = bench_encode(10, 512, args.quick);
     let sense = bench_sense(args.quick);
+    let normals = bench_normals(args.quick);
     for (name, k, unit) in [
         ("bch1 encode", &bch1, "msg"),
         ("bch10 encode", &bch10, "msg"),
         ("sense", &sense, "cell"),
+        ("normals", &normals, "normal"),
     ] {
         println!(
             "  {name}: reference {:.1} ns/{unit} | fast {:.1} ns/{unit} | {:.2}x | identical: {}",
@@ -397,7 +439,7 @@ fn main() {
          \"sliced_codewords_per_sec\":{:.1},\"speedup\":{:.3},\"identical\":{}}},\n  \
          \"mc\": {{\"reference_samples_per_sec\":{:.1},\"batched_samples_per_sec\":{:.1},\
          \"speedup\":{:.3},\"identical\":{}}},\n  \
-         \"datapath\": {{\"bch1_encode\":{},\"bch10_encode\":{},\"sense\":{}}}\n}}\n",
+         \"datapath\": {{\"bch1_encode\":{},\"bch10_encode\":{},\"sense\":{},\"normals\":{}}}\n}}\n",
         args.quick,
         bch.scalar_cw_per_sec,
         bch.sliced_cw_per_sec,
@@ -409,7 +451,8 @@ fn main() {
         mc.identical,
         bch1.json(),
         bch10.json(),
-        sense.json()
+        sense.json(),
+        normals.json()
     );
     std::fs::write(&args.out, &doc).unwrap_or_else(|e| {
         eprintln!("cannot write {}: {e}", args.out);
@@ -417,7 +460,9 @@ fn main() {
     });
     println!("wrote {}", args.out);
 
-    if !bch.identical || !mc.identical || !bch1.identical || !bch10.identical || !sense.identical {
+    let datapath_identical =
+        bch1.identical && bch10.identical && sense.identical && normals.identical;
+    if !bch.identical || !mc.identical || !datapath_identical {
         eprintln!("RESULT DIVERGENCE: scalar and batched kernels disagree");
         std::process::exit(1);
     }

@@ -15,7 +15,7 @@
 //! first 2048 of the 5040 permutations are data, so a drifted word whose
 //! rank lands outside the data range is a *detected* error.
 
-use pcm_core::rng::Xoshiro256pp;
+use pcm_core::rng::{NormalSource, Xoshiro256pp};
 
 /// Cells per permutation-coded group.
 pub const CELLS_PER_GROUP: usize = 7;

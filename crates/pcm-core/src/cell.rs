@@ -9,7 +9,7 @@
 
 use crate::drift::DriftTrajectory;
 use crate::level::LevelDesign;
-use crate::rng::Xoshiro256pp;
+use crate::rng::NormalSource;
 
 /// Outcome of programming one cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +25,7 @@ pub struct WrittenCell {
 
 /// Program a cell to `state` under `design`, sampling the write outcome and
 /// the cell's drift exponent(s).
-pub fn write_cell(design: &LevelDesign, state: usize, rng: &mut Xoshiro256pp) -> WrittenCell {
+pub fn write_cell<R: NormalSource>(design: &LevelDesign, state: usize, rng: &mut R) -> WrittenCell {
     write_cell_with_tolerance(design, state, design.write_tolerance_sigma, rng)
 }
 
@@ -36,11 +36,11 @@ pub fn write_cell(design: &LevelDesign, state: usize, rng: &mut Xoshiro256pp) ->
 /// at the cost of cells written closer to the threshold, i.e. earlier
 /// drift errors. The `ablate-relaxed-write` experiment quantifies the
 /// trade.
-pub fn write_cell_with_tolerance(
+pub fn write_cell_with_tolerance<R: NormalSource>(
     design: &LevelDesign,
     state: usize,
     tolerance_sigma: f64,
-    rng: &mut Xoshiro256pp,
+    rng: &mut R,
 ) -> WrittenCell {
     // pcm-lint: allow(no-panic-lib) — write contract: the target state comes from a validated LevelDesign
     assert!(state < design.n_levels(), "state {state} out of range");

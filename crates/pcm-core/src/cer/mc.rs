@@ -16,7 +16,7 @@ use crate::cell::write_cell;
 use crate::drift::{log_time, PreparedTrajectory};
 use crate::level::LevelDesign;
 use crate::math::stats::Proportion;
-use crate::rng::Xoshiro256pp;
+use crate::rng::{NormalStream, Xoshiro256pp};
 
 /// One time point of a Monte-Carlo CER report.
 #[derive(Debug, Clone)]
@@ -77,7 +77,8 @@ impl MonteCarloCer {
     /// Run the simulation for `design` over `times` (seconds, need not be
     /// sorted).
     ///
-    /// Batched evaluation: cells are drawn in chunks, their trajectories
+    /// Batched evaluation: cells are drawn in chunks from a
+    /// [`NormalStream`], their trajectories
     /// flattened into [`PreparedTrajectory`] buffers, and the per-time
     /// error test runs as tight loops over those buffers with the
     /// `log10`/region lookups hoisted out. **Bit-identical** per
@@ -104,8 +105,11 @@ impl MonteCarloCer {
         // Draw order matches the reference path exactly: per shard, states
         // in order, samples in order — chunking only groups *evaluations*,
         // and the error counts are integer sums, so regrouping is exact.
+        // A cell draws nothing but normals, so the shard's stream hands
+        // them out in batches with no rewind.
         const CHUNK: usize = 256;
         let totals = self.run_sharded(n_states * n_times, |rng, size, counts| {
+            let mut rng = NormalStream::new(rng);
             let mut plain: Vec<(f64, f64)> = Vec::with_capacity(CHUNK);
             let mut switched: Vec<PreparedTrajectory> = Vec::with_capacity(CHUNK);
             for (state, &(lo, hi)) in bands.iter().enumerate() {
@@ -116,7 +120,7 @@ impl MonteCarloCer {
                     plain.clear();
                     switched.clear();
                     for _ in 0..n {
-                        let p = write_cell(design, state, rng).trajectory.prepare();
+                        let p = write_cell(design, state, &mut rng).trajectory.prepare();
                         // Trajectories that never switch regimes take the
                         // two-f64 fast lane; the rest keep the compare.
                         if p.lc == f64::INFINITY {
@@ -149,7 +153,8 @@ impl MonteCarloCer {
     }
 
     /// The pre-batching sampler: one `write_cell` + full trajectory
-    /// evaluation per sample, straight through [`LevelDesign::sense`].
+    /// evaluation per sample, straight through [`LevelDesign::sense`],
+    /// drawing each normal from the bare generator.
     /// Kept as the oracle for the batched path — `estimate` must produce
     /// bit-identical hit counts for any `(samples, seed, design, times)`.
     pub fn estimate_reference(&self, design: &LevelDesign, times: &[f64]) -> McCerReport {
@@ -157,10 +162,10 @@ impl MonteCarloCer {
         assert!(!times.is_empty(), "need at least one evaluation time");
         let n_states = design.n_levels();
         let n_times = times.len();
-        let totals = self.run_sharded(n_states * n_times, |rng, size, counts| {
+        let totals = self.run_sharded(n_states * n_times, |mut rng, size, counts| {
             for state in 0..n_states {
                 for _ in 0..size {
-                    let cell = write_cell(design, state, rng);
+                    let cell = write_cell(design, state, &mut rng);
                     // One trajectory serves the whole grid; each
                     // evaluation is a few flops.
                     for (ti, &t) in times.iter().enumerate() {
@@ -180,7 +185,7 @@ impl MonteCarloCer {
     /// the worker's count accumulator (`n_counts` slots).
     fn run_sharded<F>(&self, n_counts: usize, per_shard: F) -> Vec<u64>
     where
-        F: Fn(&mut Xoshiro256pp, u64, &mut [u64]) + Sync,
+        F: Fn(Xoshiro256pp, u64, &mut [u64]) + Sync,
     {
         // The shard count is FIXED (independent of thread count) so that a
         // given (samples, seed) pair yields bit-identical results on any
@@ -206,8 +211,8 @@ impl MonteCarloCer {
                     scope.spawn(move || {
                         let mut counts = vec![0u64; n_counts];
                         for shard in (w..shards).step_by(workers) {
-                            let mut rng = Xoshiro256pp::split(seed, shard as u64);
-                            per_shard(&mut rng, shard_sizes[shard], &mut counts);
+                            let rng = Xoshiro256pp::split(seed, shard as u64);
+                            per_shard(rng, shard_sizes[shard], &mut counts);
                         }
                         counts
                     })

@@ -24,7 +24,7 @@ use crate::cell::WrittenCell;
 use crate::drift::log_time;
 use crate::level::LevelDesign;
 use crate::params::AlphaDistribution;
-use crate::rng::Xoshiro256pp;
+use crate::rng::{NormalSource, Xoshiro256pp};
 
 /// How a read decides which state a sensed resistance belongs to.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -16,10 +16,15 @@
 //! stuck cell needs no flag on the sense path: its trajectory is the
 //! constant path at [`FaultKind::stuck_logr`] and its write time is +∞,
 //! so its elapsed time clamps to zero at every `now`.
+//!
+//! The array draws its randomness from a [`NormalStream`]: programming a
+//! cell draws only normals (program-and-verify and drift exponents), so
+//! they come from precomputed batches; the one other draw, the fault kind
+//! of a newly worn cell, rewinds the stream through `WearState::wear`.
 
 use pcm_core::drift::{log_time, DriftTrajectory, PreparedTrajectory};
 use pcm_core::level::LevelDesign;
-use pcm_core::rng::Xoshiro256pp;
+use pcm_core::rng::{NormalStream, Xoshiro256pp};
 use pcm_wearout::fault::{EnduranceModel, FaultKind, WearState};
 
 /// Outcome of programming one cell.
@@ -46,7 +51,7 @@ pub struct CellArray {
     /// Cold: wear cycles, lifetime, and the known fault.
     wear: Vec<WearState>,
     endurance: EnduranceModel,
-    rng: Xoshiro256pp,
+    rng: NormalStream,
 }
 
 impl CellArray {
@@ -54,7 +59,7 @@ impl CellArray {
     /// no drift until written).
     pub fn new(n: usize, endurance: EnduranceModel, seed: u64) -> Self {
         // pcm-lint: allow(no-ambient-nondeterminism) — deterministic stream: the seed is caller-provided, per the documented reproducibility contract
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut rng = NormalStream::new(Xoshiro256pp::seed_from_u64(seed));
         let wear = (0..n)
             .map(|_| WearState::new(&endurance, &mut rng))
             .collect();
@@ -355,6 +360,7 @@ mod pin {
     use crate::block::{BlockError, FourLevelBlock, ThreeLevelBlock, WriteReport};
     use crate::block::{FOUR_LEVEL_BLOCK_CELLS, THREE_LEVEL_BLOCK_CELLS};
     use crate::ReadReport;
+    use pcm_codec::tec::TEC_CELLS;
 
     /// FNV-1a, 64-bit, over the little-endian bytes of each word.
     struct Fnv(u64);
@@ -539,9 +545,80 @@ mod pin {
         h.0
     }
 
+    /// Faults at every position of a normal batch: one 3LC block, its
+    /// 354 MLC cells and 10 SLC check cells programmed round after round.
+    /// Before round `r`, cell `r` gets a 1-cycle lifetime, so each round
+    /// wears one more cell out, and its fault-kind draw lands at a new
+    /// offset of the 64-normal batch. Halfway, every tenth stuck cell is
+    /// re-armed with a 2-cycle lifetime and wears out again two rounds
+    /// later. Counting the normals each write draws (program-and-verify
+    /// attempts, one drift exponent, one more below the rate switch), the
+    /// workload asserts that those draws hit every offset.
+    fn fault_digest() -> u64 {
+        const BATCH: u64 = 64;
+        let mlc = pcm_core::optimize::three_level_optimal().clone();
+        let slc = LevelDesign::two_level();
+        let n = THREE_LEVEL_BLOCK_CELLS;
+        let design = |i: usize| if i < TEC_CELLS { &mlc } else { &slc };
+        let normals = |d: &LevelDesign, state: usize, attempts: u32| {
+            let switched = d
+                .drift_switch
+                .is_some_and(|sw| d.states[state].nominal_logr < sw.switch_logr);
+            u64::from(attempts) + 1 + u64::from(switched)
+        };
+        let mut a = CellArray::new(n, EnduranceModel::mlc(), 1613);
+        let mut rearmed = vec![false; n];
+        let mut h = Fnv::new();
+        let mut x = 0xD1B5_4A32_D192_ED03u64;
+        // Normals drawn since the last non-normal draw: one lifetime per
+        // cell at construction.
+        let mut drawn = n as u64;
+        let mut offsets = [false; BATCH as usize];
+        for round in 0..n {
+            a.set_lifetime(round, 1);
+            let now = round as f64 * 60.0;
+            for (i, &rearm) in rearmed.iter().enumerate() {
+                let d = design(i);
+                let state = (next(&mut x) % d.n_levels() as u64) as usize;
+                let stuck = a.fault(i).is_some();
+                let before = a.wear_cycles(i);
+                let out = a.program(i, d, state, now);
+                h.outcome(out);
+                if !stuck {
+                    drawn += normals(d, state, out.attempts);
+                }
+                let rearm_worn = rearm && before < 2 && a.wear_cycles(i) >= 2;
+                if out.new_fault.is_some() || rearm_worn {
+                    offsets[(drawn % BATCH) as usize] = true;
+                    drawn = 0;
+                }
+            }
+            if round == n / 2 {
+                for i in (0..round).step_by(10) {
+                    a.set_lifetime(i, 2);
+                    rearmed[i] = true;
+                }
+            }
+            for t in [now, now + 1.0e5] {
+                for i in 0..n {
+                    h.word(a.logr(i, t).to_bits());
+                    h.word(a.sense(i, design(i), t) as u64);
+                }
+            }
+            for i in 0..n {
+                h.fault(a.fault(i));
+                h.word(a.wear_cycles(i));
+            }
+        }
+        let missed: Vec<usize> = (0..offsets.len()).filter(|&k| !offsets[k]).collect();
+        assert!(missed.is_empty(), "no fault at batch offsets {missed:?}");
+        h.0
+    }
+
     #[test]
     fn program_and_sense_digests_are_pinned() {
         assert_eq!(cell_digest(), 3235919783724634772, "cell digest");
         assert_eq!(block_digest(), 8890104714197868950, "block digest");
+        assert_eq!(fault_digest(), 14195684403749359095, "fault digest");
     }
 }

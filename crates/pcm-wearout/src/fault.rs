@@ -12,7 +12,7 @@
 //! Endurance per cell is lognormal (the standard wear model): median
 //! `median_cycles`, log₁₀ spread `sigma_log10`.
 
-use pcm_core::rng::Xoshiro256pp;
+use pcm_core::rng::{NormalSource, NormalStream, Xoshiro256pp};
 
 /// Failure mode of a worn-out cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,7 +84,7 @@ impl EnduranceModel {
     }
 
     /// Sample a cell's lifetime in write cycles.
-    pub fn sample_lifetime(&self, rng: &mut Xoshiro256pp) -> u64 {
+    pub fn sample_lifetime<R: NormalSource>(&self, rng: &mut R) -> u64 {
         let log10 = self.median_cycles.log10() + self.sigma_log10 * rng.next_normal();
         10f64.powf(log10).round().max(1.0) as u64
     }
@@ -114,7 +114,7 @@ pub struct WearState {
 
 impl WearState {
     /// Fresh cell with a sampled lifetime.
-    pub fn new(model: &EnduranceModel, rng: &mut Xoshiro256pp) -> Self {
+    pub fn new<R: NormalSource>(model: &EnduranceModel, rng: &mut R) -> Self {
         Self {
             cycles: 0,
             lifetime: model.sample_lifetime(rng),
@@ -123,17 +123,21 @@ impl WearState {
     }
 
     /// Charge `n` write cycles; returns the fault if this write wore the
-    /// cell out (exactly once — later calls return `None` again).
+    /// cell out (exactly once — later calls return `None` again, until
+    /// a re-armed lifetime wears out anew).
+    ///
+    /// Only a newly worn cell draws from `rng`, and the fault sample is
+    /// not a normal, so that branch alone syncs the stream's generator.
     pub fn wear(
         &mut self,
         n: u64,
         model: &EnduranceModel,
-        rng: &mut Xoshiro256pp,
+        rng: &mut NormalStream,
     ) -> Option<FaultKind> {
         let was_worn = self.is_worn();
         self.cycles = self.cycles.saturating_add(n);
         if !was_worn && self.is_worn() {
-            let fault = model.sample_fault(rng);
+            let fault = model.sample_fault(rng.rng());
             self.fault = Some(fault);
             return Some(fault);
         }
@@ -178,7 +182,7 @@ mod tests {
     #[test]
     fn wear_triggers_exactly_once() {
         let model = EnduranceModel::mlc();
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let mut rng = NormalStream::new(Xoshiro256pp::seed_from_u64(3));
         let mut cell = WearState::new(&model, &mut rng);
         cell.lifetime = 10;
         assert!(cell.wear(9, &model, &mut rng).is_none());

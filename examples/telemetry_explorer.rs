@@ -61,13 +61,15 @@ fn main() {
     let store = PcmStore::format(dev, store_cfg).expect("format");
 
     // Phased execution: op slices interleaved with 17-minute model-time
-    // advances, background scrub catching up at each boundary.
+    // advances, background scrub catching up at each boundary. One
+    // thread, so the printed timeline and the export are the same on
+    // every run.
     let phased = PhasedConfig {
         phases: PHASES,
         advance_secs: REFRESH_17MIN_SECS,
         scrub_interval_secs: Some(REFRESH_17MIN_SECS),
     };
-    let rep = run_phased(&store, &cfg, &phased, 2).expect("workload");
+    let rep = run_phased(&store, &cfg, &phased, 1).expect("workload");
     println!(
         "{} measured ops across {PHASES} phases | {} model-seconds | {} mismatches",
         rep.totals.measured_ops(),
