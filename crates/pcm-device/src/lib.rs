@@ -74,7 +74,7 @@ pub use block::{BlockError, FourLevelBlock, ReadReport, ThreeLevelBlock, WriteRe
 pub use builder::{ConfigError, DeviceBuilder};
 pub use concurrent::{Session, SessionStats, ShardedPcmDevice};
 pub use device::{CellOrganization, DeviceStats};
-pub use error::{Error, PcmError};
+pub use error::PcmError;
 pub use generic_block::GenericBlock;
 pub use metrics::{BankMetrics, BankMetricsSnapshot, DeviceMetrics, LogHistogram, MetricsSnapshot};
 pub use remap::RemappedDevice;
@@ -86,7 +86,6 @@ pub use pcm_trace::{
     ctx_base, ctx_class, ctx_is_index, ctx_seq, ctx_stream, jsonl, pack_ctx, CtxClass, CtxCounter,
     Recorder, TraceConfig, TraceDecodeError, CTX_INDEX_FLAG, NO_CTX,
 };
-pub use telemetry_hooks::telemetry_counters;
 pub use wear_level::{GapMove, StartGap, WearLeveledDevice};
 
 // Telemetry vocabulary, so embedders rarely need a direct

@@ -87,14 +87,6 @@ impl LogHistogram {
         }
     }
 
-    /// Inclusive lower bound of bucket `i` (0 for buckets 0 and 1).
-    pub fn bucket_floor(i: usize) -> u64 {
-        match i {
-            0 | 1 => 0,
-            i => 1u64 << (i - 1),
-        }
-    }
-
     /// Record one sample.
     pub fn record(&self, value: u64) {
         self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
@@ -137,29 +129,13 @@ impl LogHistogram {
         }
     }
 
-    /// Lower bound of the bucket containing quantile `q` (0 for an empty
-    /// histogram). `q` is clamped to `[0, 1]` (NaN reads as 0): `q = 0`
-    /// selects the bucket of the minimum sample, `q = 1` the bucket of
-    /// the maximum.
-    pub fn quantile_floor(&self, q: f64) -> u64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        // 1-based rank of the selected sample. The clamp guards both
-        // ends: q = 0 must still select rank 1, and float rounding for
-        // huge totals must not push the rank past the last sample.
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_floor(i);
-            }
-        }
-        Self::bucket_floor(HISTOGRAM_BUCKETS - 1)
+    /// Lower bound of the bucket containing the `permille`-quantile (0
+    /// for an empty histogram); see
+    /// [`quantile_floor_permille`](pcm_telemetry::quantile_floor_permille).
+    /// `0` selects the bucket of the minimum sample, `1000` (or more)
+    /// the bucket of the maximum.
+    pub fn quantile_floor(&self, permille: u64) -> u64 {
+        pcm_telemetry::quantile_floor_permille(&self.bucket_counts(), permille)
     }
 }
 
@@ -424,6 +400,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcm_telemetry::bucket_floor;
 
     #[test]
     fn histogram_buckets_by_log2() {
@@ -433,9 +410,9 @@ mod tests {
         assert_eq!(LogHistogram::bucket_of(3), 2);
         assert_eq!(LogHistogram::bucket_of(4), 3);
         assert_eq!(LogHistogram::bucket_of(u64::MAX), 64);
-        assert_eq!(LogHistogram::bucket_floor(0), 0);
-        assert_eq!(LogHistogram::bucket_floor(2), 2);
-        assert_eq!(LogHistogram::bucket_floor(11), 1024);
+        assert_eq!(bucket_floor(0), 0);
+        assert_eq!(bucket_floor(2), 2);
+        assert_eq!(bucket_floor(11), 1024);
     }
 
     #[test]
@@ -449,34 +426,32 @@ mod tests {
         assert_eq!(counts[LogHistogram::bucket_of(200)], 3);
         assert_eq!(counts[LogHistogram::bucket_of(1000)], 2);
         // Median lands in the 200 ns bucket, p99 in the 4000 ns bucket.
-        assert_eq!(h.quantile_floor(0.5), LogHistogram::bucket_floor(8));
-        assert_eq!(h.quantile_floor(0.99), LogHistogram::bucket_floor(12));
-        assert_eq!(LogHistogram::new().quantile_floor(0.5), 0);
+        assert_eq!(h.quantile_floor(500), bucket_floor(8));
+        assert_eq!(h.quantile_floor(990), bucket_floor(12));
+        assert_eq!(LogHistogram::new().quantile_floor(500), 0);
     }
 
     #[test]
     fn histogram_quantile_edge_cases() {
         // Empty: every quantile is 0.
         let empty = LogHistogram::new();
-        assert_eq!(empty.quantile_floor(0.0), 0);
-        assert_eq!(empty.quantile_floor(1.0), 0);
+        assert_eq!(empty.quantile_floor(0), 0);
+        assert_eq!(empty.quantile_floor(1000), 0);
         // Single bucket: every quantile is that bucket's floor.
         let one = LogHistogram::new();
         one.record(300); // bucket 9, floor 256
-        for q in [0.0, 0.25, 0.5, 1.0] {
+        for q in [0, 250, 500, 1000] {
             assert_eq!(one.quantile_floor(q), 256, "q={q}");
         }
-        // q = 0 selects the minimum sample, q = 1 the maximum.
+        // 0 ‰ selects the minimum sample, 1000 ‰ the maximum.
         let h = LogHistogram::new();
         h.record(0);
         h.record(200);
         h.record(5000);
-        assert_eq!(h.quantile_floor(0.0), 0);
-        assert_eq!(h.quantile_floor(1.0), LogHistogram::bucket_floor(13));
-        // Out-of-range and NaN inputs clamp instead of panicking.
-        assert_eq!(h.quantile_floor(-3.0), 0);
-        assert_eq!(h.quantile_floor(7.0), LogHistogram::bucket_floor(13));
-        assert_eq!(h.quantile_floor(f64::NAN), 0);
+        assert_eq!(h.quantile_floor(0), 0);
+        assert_eq!(h.quantile_floor(1000), bucket_floor(13));
+        // Out-of-range input clamps to the maximum.
+        assert_eq!(h.quantile_floor(7000), bucket_floor(13));
     }
 
     #[test]
@@ -515,13 +490,13 @@ mod tests {
             a.record(900); // bucket 10, floor 512
             b.record(600); // same bucket
         }
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+        for q in [0, 10, 500, 990, 1000] {
             assert_eq!(a.quantile_floor(q), 512, "q={q}");
         }
         a.merge(&b);
         assert_eq!(a.count(), 14);
         assert_eq!(a.bucket_counts()[10], 14);
-        for q in [0.0, 0.5, 1.0] {
+        for q in [0, 500, 1000] {
             assert_eq!(a.quantile_floor(q), 512, "q={q} after merge");
         }
     }
@@ -536,18 +511,15 @@ mod tests {
         h.record(1);
         assert_eq!(LogHistogram::bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
         assert_eq!(h.bucket_counts()[HISTOGRAM_BUCKETS - 1], 2);
-        assert_eq!(h.quantile_floor(0.0), LogHistogram::bucket_floor(1));
-        assert_eq!(
-            h.quantile_floor(1.0),
-            LogHistogram::bucket_floor(HISTOGRAM_BUCKETS - 1)
-        );
-        assert_eq!(h.quantile_floor(1.0), 1u64 << 63);
+        assert_eq!(h.quantile_floor(0), bucket_floor(1));
+        assert_eq!(h.quantile_floor(1000), bucket_floor(HISTOGRAM_BUCKETS - 1));
+        assert_eq!(h.quantile_floor(1000), 1u64 << 63);
         let other = LogHistogram::new();
         other.record(u64::MAX);
         h.merge(&other);
         assert_eq!(h.bucket_counts()[HISTOGRAM_BUCKETS - 1], 3);
         // Median of {1, MAX, MAX, MAX} sits in the saturated bucket too.
-        assert_eq!(h.quantile_floor(0.5), 1u64 << 63);
+        assert_eq!(h.quantile_floor(500), 1u64 << 63);
     }
 
     #[test]

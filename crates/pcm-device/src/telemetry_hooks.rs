@@ -11,11 +11,9 @@ use pcm_trace::{secs_to_ns, Recorder};
 use std::sync::Arc;
 
 /// Snapshot every bank's counters in `pcm-telemetry`'s vocabulary (one
-/// [`BankCounters`] per bank, bank order). This is the same adaptation
-/// `sample_up_to` consumes; it is public so embedders that drive a
-/// [`TelemetryRecorder`] by hand (e.g. the performance simulator) can
-/// reuse it.
-pub fn telemetry_counters(metrics: &DeviceMetrics) -> Vec<BankCounters> {
+/// [`BankCounters`] per bank, bank order), as `sample_up_to` consumes
+/// them.
+pub(crate) fn telemetry_counters(metrics: &DeviceMetrics) -> Vec<BankCounters> {
     (0..metrics.banks())
         .map(|bank| {
             let s = metrics.bank(bank).snapshot();

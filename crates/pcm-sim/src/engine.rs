@@ -11,8 +11,6 @@
 
 use crate::config::{DesignPoint, EnergyModel, SimParams};
 use crate::workload::{TraceGenerator, WorkloadProfile};
-use pcm_device::{telemetry_counters, DeviceMetrics, TelemetryRecorder};
-use pcm_trace::{round_ns, OpKind, Recorder, NO_BLOCK};
 use std::collections::VecDeque;
 
 /// Outcome of one simulation run.
@@ -20,8 +18,7 @@ use std::collections::VecDeque;
 pub struct SimResult {
     /// Design point simulated.
     pub design: DesignPoint,
-    /// Workload name. Owned, so user-defined trace files can label their
-    /// results (not just the built-in `&'static` profile names).
+    /// Workload name.
     pub workload: String,
     /// Instructions retired.
     pub instructions: u64,
@@ -52,8 +49,8 @@ pub struct SimResult {
     /// and exactly 0 for refresh-free designs.
     pub scrub_bandwidth_tax: f64,
     /// Per-bank busy fraction over the run (demand reads and writes plus
-    /// bank-blocking refresh), from the [`DeviceMetrics`] registry the
-    /// engine records into. One entry per bank, each in `[0, 1]`.
+    /// bank-blocking refresh), from the engine's per-bank busy-time
+    /// counters. One entry per bank, each in `[0, 1]`.
     pub bank_utilization: Vec<f64>,
 }
 
@@ -84,157 +81,6 @@ pub fn simulate(
     instructions: u64,
     seed: u64,
 ) -> SimResult {
-    simulate_traced(
-        params,
-        energy,
-        design,
-        profile,
-        instructions,
-        seed,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`simulate`], recording every memory operation's timing window into
-/// `recorder` (bank-blocking refreshes as spans, REF-OPT refreshes as
-/// instants). With a disabled recorder this is exactly [`simulate`].
-pub fn simulate_traced(
-    params: &SimParams,
-    energy: &EnergyModel,
-    design: DesignPoint,
-    profile: WorkloadProfile,
-    instructions: u64,
-    seed: u64,
-    recorder: &Recorder,
-) -> SimResult {
-    let trace = TraceGenerator::new(profile, params.blocks, seed);
-    simulate_ops_traced(
-        params,
-        energy,
-        design,
-        trace,
-        profile.name,
-        instructions,
-        profile.mlp,
-        recorder,
-    )
-}
-
-/// Run the simulation over an arbitrary operation stream (e.g. a
-/// [`crate::trace_file::FileTrace`]). `mlp` is the core's outstanding-
-/// read window for this workload.
-pub fn simulate_ops(
-    params: &SimParams,
-    energy: &EnergyModel,
-    design: DesignPoint,
-    trace: impl IntoIterator<Item = crate::workload::MemOp>,
-    label: impl Into<String>,
-    instructions: u64,
-    mlp: usize,
-) -> SimResult {
-    simulate_ops_traced(
-        params,
-        energy,
-        design,
-        trace,
-        label,
-        instructions,
-        mlp,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`simulate`] with always-on telemetry: `telemetry` claims its due
-/// sample ticks as engine core time advances (and once more at the end
-/// of the run), turning the engine's per-bank counters into the same
-/// ring-buffered series the functional device exports. Risk transitions
-/// emit into `recorder` (pass `Recorder::disabled()` to skip tracing).
-/// The returned [`SimResult`] is bit-identical to [`simulate`]'s —
-/// telemetry observes the engine, never alters it.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_telemetry(
-    params: &SimParams,
-    energy: &EnergyModel,
-    design: DesignPoint,
-    profile: WorkloadProfile,
-    instructions: u64,
-    seed: u64,
-    telemetry: &TelemetryRecorder,
-    recorder: &Recorder,
-) -> SimResult {
-    let trace = TraceGenerator::new(profile, params.blocks, seed);
-    simulate_ops_inner(
-        params,
-        energy,
-        design,
-        trace,
-        profile.name,
-        instructions,
-        profile.mlp,
-        recorder,
-        Some(telemetry),
-    )
-}
-
-/// [`simulate_ops`] with tracing: every demand read/write and every
-/// refresh emits its modeled timing window into `recorder`, stamped in
-/// engine nanoseconds. End-of-run drain refreshes (counted only for
-/// energy accounting, with no timing model) are not traced.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_ops_traced(
-    params: &SimParams,
-    energy: &EnergyModel,
-    design: DesignPoint,
-    trace: impl IntoIterator<Item = crate::workload::MemOp>,
-    label: impl Into<String>,
-    instructions: u64,
-    mlp: usize,
-    recorder: &Recorder,
-) -> SimResult {
-    simulate_ops_inner(
-        params,
-        energy,
-        design,
-        trace,
-        label,
-        instructions,
-        mlp,
-        recorder,
-        None,
-    )
-}
-
-/// Poll the telemetry recorder at engine time `now_ns` (monotone within
-/// a run). Gated on `due_before` so the counter gather only happens
-/// when a sample tick will actually be claimed.
-fn poll_telemetry(
-    telemetry: Option<&TelemetryRecorder>,
-    now_ns: f64,
-    metrics: &DeviceMetrics,
-    recorder: &Recorder,
-) {
-    let Some(tel) = telemetry else {
-        return;
-    };
-    let t = round_ns(now_ns);
-    if tel.due_before(t) {
-        tel.sample_up_to(t, &telemetry_counters(metrics), recorder);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_ops_inner(
-    params: &SimParams,
-    energy: &EnergyModel,
-    design: DesignPoint,
-    trace: impl IntoIterator<Item = crate::workload::MemOp>,
-    label: impl Into<String>,
-    instructions: u64,
-    mlp: usize,
-    recorder: &Recorder,
-    telemetry: Option<&TelemetryRecorder>,
-) -> SimResult {
-    let mut trace = trace.into_iter();
     let token_period_ns = params.write_window_ns / params.writes_per_window as f64;
     let refresh_period_ns = if design.refreshes() {
         params.refresh_interval_s * 1e9 / params.blocks as f64
@@ -242,7 +88,7 @@ fn simulate_ops_inner(
         f64::INFINITY
     };
 
-    let metrics = DeviceMetrics::new(params.banks);
+    let mut busy_ns = vec![0u64; params.banks]; // modeled busy time per bank
     let mut bank_free = vec![0.0f64; params.banks];
     let mut token_time = 0.0f64; // next write token grant time
     let mut core_time = 0.0f64;
@@ -261,11 +107,11 @@ fn simulate_ops_inner(
     let ns_per_instr = 1.0 / params.cpu_freq_ghz;
     let ecc_ns = design.ecc_read_adder_ns();
     // Per-workload MLP, capped by the core's outstanding-read limit.
-    let read_window = mlp.clamp(1, params.max_outstanding_reads);
+    let read_window = profile.mlp.clamp(1, params.max_outstanding_reads);
     let mut read_latency_sum = 0.0f64;
     let mut read_latency_max = 0.0f64;
 
-    for op in &mut trace {
+    for op in TraceGenerator::new(profile, params.blocks, seed) {
         if op.at_instruction > instructions {
             break;
         }
@@ -273,45 +119,21 @@ fn simulate_ops_inner(
         core_time += (op.at_instruction - last_instr) as f64 * ns_per_instr;
         last_instr = op.at_instruction;
 
-        // Apply refresh ops that came due before this op issues.
+        // Apply refresh ops that came due before this op issues. A
+        // REF-OPT refresh consumes a write token but never occupies a
+        // bank.
         while next_refresh <= core_time {
             let grant = token_time.max(next_refresh);
             token_time = grant + token_period_ns;
             if design.refresh_blocks_bank() {
                 let start = grant.max(bank_free[refresh_bank]);
                 bank_free[refresh_bank] = start + params.block_refresh_ns;
-                metrics
-                    .bank(refresh_bank)
-                    .record_scrub(0, params.block_refresh_ns as u64);
-                if recorder.is_enabled() {
-                    recorder.span(
-                        OpKind::Refresh,
-                        refresh_bank as u32,
-                        NO_BLOCK,
-                        (round_ns(start), round_ns(start + params.block_refresh_ns)),
-                        (0, 0),
-                    );
-                }
-            } else if recorder.is_enabled() {
-                // REF-OPT: the refresh consumes a write token but never
-                // occupies a bank — an instant, not a span.
-                recorder.instant(
-                    OpKind::Refresh,
-                    refresh_bank as u32,
-                    NO_BLOCK,
-                    round_ns(grant),
-                    0,
-                );
+                busy_ns[refresh_bank] += params.block_refresh_ns as u64;
             }
             refresh_bank = (refresh_bank + 1) % params.banks;
             refreshes += 1;
             next_refresh += refresh_period_ns;
         }
-
-        // Claim telemetry samples that came due as core time advanced
-        // (after the refresh catch-up, so boundary scrubs land in the
-        // sample that covers them).
-        poll_telemetry(telemetry, core_time, &metrics, recorder);
 
         // Retire completed outstanding operations.
         while outstanding_reads.front().is_some_and(|&f| f <= core_time) {
@@ -331,18 +153,7 @@ fn simulate_ops_inner(
             bank_free[bank] = finish;
             latest_finish = latest_finish.max(finish);
             write_queue.push_back(finish);
-            metrics
-                .bank(bank)
-                .record_write(0, params.write_latency_ns as u64);
-            if recorder.is_enabled() {
-                recorder.span(
-                    OpKind::Write,
-                    bank as u32,
-                    op.block as u32,
-                    (round_ns(start), round_ns(finish)),
-                    (0, 0),
-                );
-            }
+            busy_ns[bank] += params.write_latency_ns as u64;
             writes += 1;
             if write_queue.len() > params.write_queue_depth {
                 // pcm-lint: allow(no-panic-lib) — infallible: guarded by the queue-depth check above
@@ -358,28 +169,7 @@ fn simulate_ops_inner(
             read_latency_sum += latency;
             read_latency_max = read_latency_max.max(latency);
             outstanding_reads.push_back(finish);
-            metrics
-                .bank(bank)
-                .record_read(0, params.read_latency_ns as u64);
-            if recorder.is_enabled() {
-                let array_done = start + params.read_latency_ns;
-                recorder.span(
-                    OpKind::Read,
-                    bank as u32,
-                    op.block as u32,
-                    (round_ns(start), round_ns(array_done)),
-                    (0, 0),
-                );
-                if ecc_ns > 0.0 {
-                    recorder.span(
-                        OpKind::EccDecode,
-                        bank as u32,
-                        op.block as u32,
-                        (round_ns(array_done), round_ns(finish)),
-                        (0, 0),
-                    );
-                }
-            }
+            busy_ns[bank] += params.read_latency_ns as u64;
             reads += 1;
             if outstanding_reads.len() > read_window {
                 // pcm-lint: allow(no-panic-lib) — infallible: guarded by the window-length check above
@@ -398,12 +188,10 @@ fn simulate_ops_inner(
         next_refresh += refresh_period_ns;
     }
     exec = exec.max(core_time);
-    // Final poll: series cover the whole run through the drain point.
-    poll_telemetry(telemetry, exec, &metrics, recorder);
 
     SimResult {
         design,
-        workload: label.into(),
+        workload: profile.name.to_string(),
         instructions,
         reads,
         writes,
@@ -424,7 +212,16 @@ fn simulate_ops_inner(
         } else {
             0.0
         },
-        bank_utilization: metrics.snapshot().utilization(exec),
+        bank_utilization: busy_ns
+            .iter()
+            .map(|&busy| {
+                if exec > 0.0 {
+                    (busy as f64 / exec).min(1.0)
+                } else {
+                    0.0
+                }
+            })
+            .collect(),
     }
 }
 
@@ -444,48 +241,6 @@ mod tests {
         let a = run(DesignPoint::FourLcRef, "mcf");
         let b = run(DesignPoint::FourLcRef, "mcf");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn telemetry_observes_without_perturbing() {
-        use pcm_device::TelemetryConfig;
-        let params = SimParams::default();
-        let energy = EnergyModel::default();
-        let profile = WorkloadProfile::by_name("mcf").expect("known workload");
-        let plain = simulate(
-            &params,
-            &energy,
-            DesignPoint::FourLcRef,
-            profile,
-            500_000,
-            7,
-        );
-        // Sample every 10 µs of engine time.
-        let tel = TelemetryRecorder::new(params.banks, TelemetryConfig::new(10_000));
-        let observed = simulate_telemetry(
-            &params,
-            &energy,
-            DesignPoint::FourLcRef,
-            profile,
-            500_000,
-            7,
-            &tel,
-            &Recorder::disabled(),
-        );
-        assert_eq!(observed, plain, "telemetry must not alter the run");
-        let snap = tel.snapshot();
-        assert_eq!(snap.per_bank.len(), params.banks);
-        assert!(
-            snap.per_bank.iter().any(|b| !b.points.is_empty()),
-            "no samples claimed"
-        );
-        // Refresh traffic shows up as scrub counts in some bank's series.
-        let scrubs: u64 = snap
-            .per_bank
-            .iter()
-            .flat_map(|b| b.points.iter().map(|p| p.scrubs))
-            .sum();
-        assert!(scrubs > 0, "refresh ops never reached the series");
     }
 
     #[test]
@@ -583,38 +338,6 @@ mod tests {
             power_ratio < speedup,
             "power {power_ratio} vs speedup {speedup}"
         );
-    }
-
-    #[test]
-    fn file_traces_drive_the_engine() {
-        use crate::trace_file::FileTrace;
-        let params = SimParams::default();
-        let energy = EnergyModel::default();
-        // A small hand-written trace: 3 reads, 2 writes over 10k instrs.
-        let text = "\
-1000 R 0x1000
-2000 W 0x2000
-4000 R 0x8040
-8000 W 0x2000
-10000 R 0x1000
-";
-        let trace = FileTrace::parse(text, params.blocks).unwrap();
-        let r = simulate_ops(
-            &params,
-            &energy,
-            DesignPoint::ThreeLc,
-            trace.iter(),
-            "hand-trace",
-            10_000,
-            2,
-        );
-        assert_eq!(r.reads, 3);
-        assert_eq!(r.writes, 2);
-        assert_eq!(r.workload, "hand-trace");
-        // 10k instructions at 3.2 GHz is 3125 ns; plus memory time.
-        assert!(r.exec_time_ns >= 3125.0);
-        assert!(r.avg_read_latency_ns >= 205.0, "{}", r.avg_read_latency_ns);
-        assert!(r.max_read_latency_ns >= r.avg_read_latency_ns);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!   plus ECC adders, 1 µs writes, the four-write-window (40 MB/s), and
 //!   per-bank refresh interference.
 //! * [`report`] — the Figure 16 matrix and headline summaries.
-//! * [`parallel`] — the concurrent backend: the same matrix fanned out
-//!   across OS threads, bit-identical to the sequential run.
 //! * [`trace_report`] — offline analysis of `pcm-trace` JSONL files
 //!   (the model behind `cargo run -p xtask -- trace-report`).
 //! * [`profile`] — causal request profiling: correlation-id grouping,
@@ -39,20 +37,14 @@
 
 pub mod config;
 pub mod engine;
-pub mod parallel;
 pub mod profile;
 pub mod report;
-pub mod trace_file;
 pub mod trace_report;
 pub mod workload;
 
 pub use config::{DesignPoint, EnergyModel, SimParams};
-pub use engine::{
-    simulate, simulate_ops, simulate_ops_traced, simulate_telemetry, simulate_traced, SimResult,
-};
-pub use parallel::{figure16_parallel, simulate_matrix};
+pub use engine::{simulate, SimResult};
 pub use profile::{ChildSpan, KindAttribution, LatencyBuckets, Profile, RequestProfile};
 pub use report::{figure16, summary_gains, Figure16Bar};
-pub use trace_file::{FileTrace, TraceParseError};
 pub use trace_report::{analyze, analyze_top, TraceReport};
 pub use workload::{AccessPattern, MemOp, TraceGenerator, WorkloadProfile};

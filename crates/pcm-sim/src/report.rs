@@ -8,8 +8,7 @@ use crate::workload::WorkloadProfile;
 /// One normalized Figure 16 bar.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Figure16Bar {
-    /// Workload name (owned; file-trace driven matrices can use custom
-    /// labels).
+    /// Workload name.
     pub workload: String,
     /// Design point.
     pub design: DesignPoint,
@@ -22,16 +21,13 @@ pub struct Figure16Bar {
     /// Energy breakdown (read, write, refresh, static) normalized to
     /// 4LC-REF's total — the stacked-bar decomposition of Figure 16.
     pub energy_breakdown: [f64; 4],
-    /// Fraction of write-token bandwidth this design spent on refresh
-    /// (the §4.1 scrub bandwidth tax; 0 for refresh-free designs).
-    pub scrub_bandwidth_tax: f64,
-    /// Per-bank busy fraction over the run, one entry per bank.
-    pub bank_utilization: Vec<f64>,
     /// The raw simulation result behind the bar.
     pub raw: SimResult,
 }
 
-/// Run the full Figure 16 matrix.
+/// Run the full Figure 16 matrix: each workload's four designs are
+/// simulated once, and every bar is normalized against that workload's
+/// own 4LC-REF result.
 pub fn figure16(
     params: &SimParams,
     energy: &EnergyModel,
@@ -40,22 +36,18 @@ pub fn figure16(
 ) -> Vec<Figure16Bar> {
     let mut bars = Vec::new();
     for profile in WorkloadProfile::figure16_suite() {
-        let baseline = simulate(
-            params,
-            energy,
-            DesignPoint::FourLcRef,
-            profile,
-            instructions,
-            seed,
-        );
+        let raws = DesignPoint::ALL
+            .map(|design| simulate(params, energy, design, profile, instructions, seed));
+        // `DesignPoint::ALL` opens with the 4LC-REF baseline.
+        let baseline = &raws[0];
         let base_energy = baseline.total_energy_nj();
         let base_power = baseline.avg_power_w();
-        for design in DesignPoint::ALL {
-            let raw = simulate(params, energy, design, profile, instructions, seed);
+        let base_time = baseline.exec_time_ns;
+        for raw in raws {
             bars.push(Figure16Bar {
                 workload: profile.name.to_string(),
-                design,
-                norm_exec_time: raw.exec_time_ns / baseline.exec_time_ns,
+                design: raw.design,
+                norm_exec_time: raw.exec_time_ns / base_time,
                 norm_energy: raw.total_energy_nj() / base_energy,
                 norm_power: raw.avg_power_w() / base_power,
                 energy_breakdown: [
@@ -64,8 +56,6 @@ pub fn figure16(
                     raw.refresh_energy_nj / base_energy,
                     raw.static_energy_nj / base_energy,
                 ],
-                scrub_bandwidth_tax: raw.scrub_bandwidth_tax,
-                bank_utilization: raw.bank_utilization.clone(),
                 raw,
             });
         }
@@ -162,13 +152,70 @@ mod tests {
     fn bars_carry_scrub_tax_and_utilization() {
         let params = SimParams::default();
         for b in matrix() {
-            assert_eq!(b.bank_utilization.len(), params.banks, "{b:?}");
+            assert_eq!(b.raw.bank_utilization.len(), params.banks, "{b:?}");
             if b.design.refreshes() {
-                assert!(b.scrub_bandwidth_tax > 0.3, "{:?}", b.design);
+                assert!(b.raw.scrub_bandwidth_tax > 0.3, "{:?}", b.design);
             } else {
-                assert_eq!(b.scrub_bandwidth_tax, 0.0, "{:?}", b.design);
+                assert_eq!(b.raw.scrub_bandwidth_tax, 0.0, "{:?}", b.design);
             }
         }
+    }
+
+    /// FNV-1a, 64-bit, over the little-endian bytes of each word.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn float(&mut self, x: f64) {
+            self.word(x.to_bits());
+        }
+    }
+
+    /// Every field of every bar and of the `SimResult` behind it, so any
+    /// change to the engine's arithmetic, the trace generator or the
+    /// normalization moves this digest.
+    #[test]
+    fn figure16_digest_is_pinned() {
+        let bars = figure16(&SimParams::default(), &EnergyModel::default(), 200_000, 11);
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for b in &bars {
+            let r = &b.raw;
+            h.word(r.design as u64);
+            for byte in r.workload.bytes() {
+                h.word(u64::from(byte));
+            }
+            for n in [r.instructions, r.reads, r.writes, r.refreshes] {
+                h.word(n);
+            }
+            for x in [
+                r.exec_time_ns,
+                r.read_energy_nj,
+                r.write_energy_nj,
+                r.refresh_energy_nj,
+                r.static_energy_nj,
+                r.avg_read_latency_ns,
+                r.max_read_latency_ns,
+                r.scrub_bandwidth_tax,
+            ] {
+                h.float(x);
+            }
+            h.word(r.bank_utilization.len() as u64);
+            for &u in &r.bank_utilization {
+                h.float(u);
+            }
+            for x in [b.norm_exec_time, b.norm_energy, b.norm_power] {
+                h.float(x);
+            }
+            for x in b.energy_breakdown {
+                h.float(x);
+            }
+        }
+        assert_eq!((bars.len(), h.0), (24, 0xbceb_3235_53ee_c723));
     }
 
     #[test]

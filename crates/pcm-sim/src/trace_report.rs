@@ -258,9 +258,9 @@ fn build_histograms(spans: &[SpanRecord]) -> Vec<KindHistogram> {
             (count > 0).then(|| KindHistogram {
                 kind,
                 count,
-                p50_ns: h.quantile_floor(0.50),
-                p95_ns: h.quantile_floor(0.95),
-                p99_ns: h.quantile_floor(0.99),
+                p50_ns: h.quantile_floor(500),
+                p95_ns: h.quantile_floor(950),
+                p99_ns: h.quantile_floor(990),
                 max_ns,
             })
         })

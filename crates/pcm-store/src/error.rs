@@ -1,4 +1,4 @@
-//! The store's error type and its mapping onto the device hierarchy.
+//! The store's error type and how device errors map onto it.
 //!
 //! Policy: anything that means "the stored bytes cannot be trusted" —
 //! a CRC mismatch, a malformed header, a dangling chain pointer, or an
@@ -6,7 +6,7 @@
 //! [`StoreError::CorruptPage`] naming the page. The store never returns
 //! value bytes that failed verification. Everything else (write
 //! failures, wearout exhaustion, addressing bugs) passes through as the
-//! unified [`pcm_device::Error`].
+//! device's operation error, [`PcmError`].
 
 use crate::page::PageDefect;
 use pcm_device::{BlockError, PcmError};
@@ -22,8 +22,8 @@ pub enum StoreError {
         /// What failed.
         defect: PageDefect,
     },
-    /// A device-layer failure (wraps the unified device error).
-    Device(pcm_device::Error),
+    /// A device-layer failure (wraps the device's operation error).
+    Device(PcmError),
     /// The free list is exhausted.
     StoreFull,
     /// The value does not fit the page-chain limit.
@@ -83,15 +83,9 @@ impl From<crate::workload::WorkloadError> for StoreError {
     }
 }
 
-impl From<pcm_device::Error> for StoreError {
-    fn from(e: pcm_device::Error) -> Self {
-        StoreError::Device(e)
-    }
-}
-
 impl From<PcmError> for StoreError {
     fn from(e: PcmError) -> Self {
-        StoreError::Device(pcm_device::Error::Device(e))
+        StoreError::Device(e)
     }
 }
 

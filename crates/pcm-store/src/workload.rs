@@ -307,8 +307,8 @@ pub fn value_for(key: u64, len: usize) -> Vec<u8> {
 
 /// Run `cfg` against `store` with actors multiplexed onto `threads`
 /// OS threads (round-robin). Preloads every actor's keyspace, then runs
-/// the measured mix. Returns the merged report; the first store error
-/// (if any) aborts the run.
+/// the measured mix; the device clock never moves. Returns the merged
+/// report; the first store error (if any) aborts the run.
 pub fn run(
     store: &PcmStore,
     cfg: &WorkloadConfig,
@@ -317,43 +317,17 @@ pub fn run(
     cfg.validate()?;
     let threads = threads.max(1);
     let mut totals = OpTotals::default();
-    let (tx, rx) = mpsc::channel::<Result<OpTotals, StoreError>>();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let tx = tx.clone();
-            s.spawn(move || {
-                let mut actor = t;
-                while actor < cfg.actors {
-                    let r = run_actor(store, cfg, actor);
-                    let failed = r.is_err();
-                    if tx.send(r).is_err() || failed {
-                        return;
-                    }
-                    actor += threads;
-                }
-            });
-        }
-        drop(tx);
-    });
-    let mut first_err = None;
-    for r in rx.iter() {
-        match r {
-            Ok(t) => totals.add(&t),
-            Err(e) => {
-                first_err = first_err.or(Some(e));
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+    let mut states = actor_states(cfg)?;
+    run_slice(
+        store,
+        cfg,
+        &mut states,
+        &mut totals,
+        threads,
+        true,
+        cfg.ops_per_actor,
+    )?;
     Ok(report_from(store.device().metrics(), threads, totals))
-}
-
-/// One actor's full run: preload its keyspace, then its measured ops.
-fn run_actor(store: &PcmStore, cfg: &WorkloadConfig, actor: usize) -> Result<OpTotals, StoreError> {
-    let mut state = ActorState::new(cfg, actor)?;
-    run_actor_phase(store, cfg, &mut state, true, cfg.ops_per_actor)
 }
 
 /// An actor's resumable position in its op stream: the RNG and sampler
@@ -489,10 +463,7 @@ pub fn run_phased(
     let threads = threads.max(1);
     let phases = phased.phases.max(1) as u64;
     let mut totals = OpTotals::default();
-    let mut states: Vec<Option<ActorState>> = Vec::with_capacity(cfg.actors);
-    for actor in 0..cfg.actors {
-        states.push(Some(ActorState::new(cfg, actor)?));
-    }
+    let mut states = actor_states(cfg)?;
     let mut scrubber = phased
         .scrub_interval_secs
         .map(|secs| ShardedScrubber::new(store.device(), secs));
@@ -522,8 +493,15 @@ pub fn run_phased(
     Ok(report_from(store.device().metrics(), threads, totals))
 }
 
+/// Every actor's state at the start of its op stream.
+fn actor_states(cfg: &WorkloadConfig) -> Result<Vec<Option<ActorState>>, StoreError> {
+    (0..cfg.actors)
+        .map(|actor| ActorState::new(cfg, actor).map(Some))
+        .collect()
+}
+
 /// Run one slice of every actor, multiplexed round-robin onto
-/// `threads` OS threads (the same actor-to-thread mapping as [`run`]).
+/// `threads` OS threads (actor `a` runs on thread `a % threads`).
 /// States travel into the worker threads and come back through the
 /// result channel, so no lock guards them.
 fn run_slice(
@@ -590,9 +568,9 @@ fn report_from(metrics: &DeviceMetrics, threads: usize, totals: OpTotals) -> Wor
         threads,
         totals,
         busy_ns: agg.busy_ns,
-        p50_ns: merged.quantile_floor(0.50),
-        p95_ns: merged.quantile_floor(0.95),
-        p99_ns: merged.quantile_floor(0.99),
+        p50_ns: merged.quantile_floor(500),
+        p95_ns: merged.quantile_floor(950),
+        p99_ns: merged.quantile_floor(990),
         kops_per_model_sec: kops,
     }
 }

@@ -9,8 +9,7 @@
 use crate::risk::RiskState;
 
 /// Cumulative per-bank counters at one instant, as supplied by the
-/// embedding layer (pcm-device adapts its `BankMetrics` to this; the
-/// performance simulator adapts its local registry).
+/// embedding layer (pcm-device adapts its `BankMetrics` to this).
 ///
 /// The recorder only ever *subtracts* consecutive readings, so any
 /// monotone counter source works.
@@ -58,9 +57,9 @@ impl BankCounters {
     }
 }
 
-/// Inclusive lower bound of log2 bucket `i` (0 for buckets 0 and 1) —
-/// mirrors pcm-device's `LogHistogram::bucket_floor` so quantile floors
-/// computed here agree with the metrics layer.
+/// Inclusive lower bound of log2 bucket `i` (0 for buckets 0 and 1):
+/// bucket 0 counts zero samples, bucket `i ≥ 1` samples whose `ilog2`
+/// is `i - 1` — the layout of pcm-device's `LogHistogram`.
 pub fn bucket_floor(i: usize) -> u64 {
     match i {
         0 | 1 => 0,
@@ -69,17 +68,26 @@ pub fn bucket_floor(i: usize) -> u64 {
     }
 }
 
+/// 1-based rank of the `permille`-quantile sample among `total`
+/// samples (see [`quantile_floor_permille`]).
+fn quantile_rank(total: u64, permille: u64) -> u64 {
+    total
+        .saturating_mul(permille.min(1000))
+        .div_ceil(1000)
+        .clamp(1, total)
+}
+
 /// Lower bound of the bucket containing the `permille`-quantile of the
 /// bucketed samples, in pure integer arithmetic: the selected sample's
 /// 1-based rank is `ceil(total * permille / 1000)`, clamped to
-/// `[1, total]`. Returns 0 for an empty histogram.
+/// `[1, total]`, and `permille` above 1000 reads as 1000. Returns 0 for
+/// an empty histogram.
 pub fn quantile_floor_permille(buckets: &[u64], permille: u64) -> u64 {
     let total: u64 = buckets.iter().sum();
     if total == 0 {
         return 0;
     }
-    let p = permille.min(1000);
-    let rank = total.saturating_mul(p).div_ceil(1000).clamp(1, total);
+    let rank = quantile_rank(total, permille);
     let mut seen = 0u64;
     for (i, c) in buckets.iter().enumerate() {
         seen += c;
@@ -255,6 +263,19 @@ mod tests {
         let mut top = vec![0u64; 65];
         top[64] = 4;
         assert_eq!(quantile_floor_permille(&top, 500), 1u64 << 63);
+        // The integer rank agrees with the float rank `ceil(q * total)`
+        // (clamped to `[1, total]`) at the 50/95/99 % quantiles the
+        // reports print, for every total up to 100 000.
+        for total in 1..=100_000u64 {
+            for (q, permille) in [(0.50f64, 500), (0.95, 950), (0.99, 990)] {
+                let float_rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+                assert_eq!(
+                    quantile_rank(total, permille),
+                    float_rank,
+                    "total={total} q={q}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! field a wall clock, thread id, or allocator could leak into, so two
 //! runs with the same seed produce byte-identical traces.
 
-/// Sentinel block id for events that describe a whole bank (scrub-pass
-/// spans, refresh lane activity in the performance engine) rather than a
-/// single block.
+/// Sentinel block id for events that describe a whole bank (e.g.
+/// scrub-pass spans) rather than a single block.
 pub const NO_BLOCK: u32 = u32::MAX;
 
 /// What a trace event describes.

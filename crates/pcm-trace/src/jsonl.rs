@@ -73,9 +73,6 @@ pub struct LaneSummary {
 }
 
 /// A malformed trace line.
-///
-/// Named `TraceDecodeError` (not `TraceParseError`) because `pcm-sim`
-/// already exports a `TraceParseError` for workload trace files.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceDecodeError {
     /// 1-based line number.

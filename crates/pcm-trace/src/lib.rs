@@ -58,13 +58,6 @@ pub fn secs_to_ns(secs: f64) -> u64 {
     (secs * 1e9).round() as u64
 }
 
-/// A model-time value already in (possibly fractional) nanoseconds to
-/// an integer stamp, rounded to nearest. Used by the performance engine,
-/// whose clock is f64 nanoseconds.
-pub fn round_ns(ns: f64) -> u64 {
-    ns.round() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,13 +70,5 @@ mod tests {
         assert_eq!(secs_to_ns(1.6), 1_600_000_000);
         assert_eq!(secs_to_ns(-1.0), 0);
         assert_eq!(secs_to_ns(f64::NAN), 0);
-    }
-
-    #[test]
-    fn round_ns_rounds_to_nearest() {
-        assert_eq!(round_ns(0.4), 0);
-        assert_eq!(round_ns(0.5), 1);
-        assert_eq!(round_ns(1234.9), 1235);
-        assert_eq!(round_ns(-5.0), 0);
     }
 }

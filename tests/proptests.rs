@@ -219,29 +219,6 @@ proptest! {
     }
 
     #[test]
-    fn trace_files_roundtrip_ops(
-        records in vec((1u64..1_000_000, any::<bool>(), 0u64..1u64 << 40), 0..50),
-    ) {
-        use mlc_pcm::sim::FileTrace;
-        let mut sorted = records;
-        sorted.sort_by_key(|r| r.0);
-        let text: String = sorted
-            .iter()
-            .map(|(i, w, a)| format!("{i} {} {a}\n", if *w { "W" } else { "R" }))
-            .collect();
-        let trace = FileTrace::parse(&text, 4096).unwrap();
-        prop_assert_eq!(trace.len(), sorted.len());
-        for (op, (_, w, a)) in trace.ops().iter().zip(&sorted) {
-            prop_assert_eq!(op.is_write, *w);
-            prop_assert_eq!(op.block, (a / 64) % 4096);
-        }
-        // Strictly increasing instruction counts.
-        for w in trace.ops().windows(2) {
-            prop_assert!(w[1].at_instruction > w[0].at_instruction);
-        }
-    }
-
-    #[test]
     fn prefix_or_networks_agree(inputs in vec(any::<bool>(), 1..200)) {
         use mlc_pcm::wearout::PrefixOrNetwork;
         let n = inputs.len();
