@@ -1,29 +1,31 @@
-//! Page allocation: an on-device free list rooted in the superblock.
+//! Page allocation: a derived, in-memory free set.
 //!
-//! Free pages form a singly linked list threaded through their `next`
-//! fields; the head and count live in the superblock (page 0), which is
-//! rewritten on every allocate/free (write-through, like the BlockFile
-//! exemplar's header). A `Mutex` over the in-memory superblock mirror
-//! makes pop/push atomic across threads: two concurrent allocations can
-//! never observe the same head, so a page is handed out at most once —
-//! the property `tests/store_crash.rs` hammers at 1/2/8 sessions.
+//! The device holds no free list. [`PcmStore::open`](crate::PcmStore::open)
+//! walks superblock → directory → value chains and marks every page it
+//! reaches; every other page is free. The [`Allocator`] keeps that set
+//! as one bit per page under one mutex and hands pages out next-fit: a
+//! rotating cursor resumes where the last allocation stopped, so a freed
+//! page is reused last, not first, and data-page wear spreads over all
+//! free space. Nothing here touches the device.
+//!
+//! Crash consistency needs no ordering in here (the llfree-rs model:
+//! the persistent state is the page graph alone). A put writes its new
+//! chain, flips the directory, then releases the old chain in memory; a
+//! crash at any point leaves only unreachable pages, which the next
+//! `open` finds free.
 //!
 //! Lock order: callers may hold a directory stripe lock when calling in
-//! here; the allocator lock nests inside stripes and outside bank locks
-//! (taken by the device calls below). Nothing ever acquires a stripe
-//! while holding the allocator lock, so the order is acyclic.
+//! here; the allocator lock nests inside stripes, and no bank lock is
+//! ever taken while it is held.
 
-use crate::error::{read_failure, StoreError};
-use crate::page::{Page, PageDefect, PageType, NO_PAGE};
-use crate::store::OpCost;
-use pcm_device::ShardedPcmDevice;
-use pcm_trace::NO_CTX;
+use crate::error::StoreError;
+use crate::page::{Page, PageDefect, PageType};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Magic ("PCMSTOR1", little-endian) identifying a formatted device.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"PCMSTOR1");
-/// On-device format version.
-pub const VERSION: u32 = 1;
+/// On-device format version (2: derived free space, no free list).
+pub const VERSION: u32 = 2;
 
 /// The superblock contents (page 0 payload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,13 +34,14 @@ pub struct Superblock {
     pub pages: u32,
     /// Hash-directory bucket count (bucket `b` lives at page `1 + b`).
     pub dir_buckets: u32,
-    /// Head of the free list ([`NO_PAGE`] when full).
-    pub free_head: u32,
-    /// Free pages on the list.
-    pub free_count: u32,
 }
 
 impl Superblock {
+    /// Pages at fixed ids: the superblock and the directory buckets.
+    pub fn fixed_pages(self) -> u32 {
+        1 + self.dir_buckets
+    }
+
     /// Serialize into a page image.
     pub fn to_page(self) -> Page {
         let mut p = Page::empty(PageType::Super);
@@ -46,18 +49,18 @@ impl Superblock {
         p.payload[8..12].copy_from_slice(&VERSION.to_le_bytes());
         p.payload[12..16].copy_from_slice(&self.pages.to_le_bytes());
         p.payload[16..20].copy_from_slice(&self.dir_buckets.to_le_bytes());
-        p.payload[20..24].copy_from_slice(&self.free_head.to_le_bytes());
-        p.payload[24..28].copy_from_slice(&self.free_count.to_le_bytes());
-        p.len = 28;
+        p.len = 20;
         p
     }
 
     /// Parse from a decoded page (which must be [`PageType::Super`]).
+    /// The version is checked before the layout, so an older format
+    /// reports [`StoreError::BadVersion`].
     pub fn from_page(p: &Page) -> Result<Superblock, StoreError> {
-        let corrupt = |defect| StoreError::CorruptPage { page: 0, defect };
-        if p.page_type != PageType::Super || p.len != 28 {
-            return Err(corrupt(PageDefect::WrongPage));
-        }
+        let corrupt = StoreError::CorruptPage {
+            page: 0,
+            defect: PageDefect::WrongPage,
+        };
         let word = |at: usize| {
             u32::from_le_bytes([
                 p.payload[at],
@@ -68,222 +71,136 @@ impl Superblock {
         };
         let mut magic = [0u8; 8];
         magic.copy_from_slice(&p.payload[0..8]);
-        if u64::from_le_bytes(magic) != MAGIC {
-            return Err(corrupt(PageDefect::WrongPage));
+        if p.page_type != PageType::Super || u64::from_le_bytes(magic) != MAGIC {
+            return Err(corrupt);
         }
         let version = word(8);
         if version != VERSION {
             return Err(StoreError::BadVersion(version));
         }
+        if p.len != 20 {
+            return Err(corrupt);
+        }
         Ok(Superblock {
             pages: word(12),
             dir_buckets: word(16),
-            free_head: word(20),
-            free_count: word(24),
         })
     }
 }
 
-/// The page allocator: a mutex-guarded mirror of the superblock, written
-/// through to page 0 on every mutation.
+/// One bit per page (set = free) and the next-fit cursor.
+#[derive(Debug)]
+struct FreeSet {
+    pages: u32,
+    bits: Vec<u64>,
+    free: u32,
+    cursor: usize,
+}
+
+impl FreeSet {
+    /// Take the first free page at or after the cursor, wrapping once.
+    fn take_next(&mut self) -> Option<u32> {
+        let words = self.bits.len();
+        let mut w = self.cursor / 64 % words;
+        let mut mask = !0u64 << (self.cursor % 64);
+        for _ in 0..=words {
+            let hit = self.bits[w] & mask;
+            if hit != 0 {
+                let bit = hit.trailing_zeros();
+                let page = w * 64 + bit as usize;
+                self.bits[w] &= !(1u64 << bit);
+                self.free -= 1;
+                self.cursor = page + 1;
+                return Some(page as u32);
+            }
+            w = (w + 1) % words;
+            mask = !0;
+        }
+        None
+    }
+
+    /// Mark `page` free. A page already free, or past the end, is left
+    /// as it is, so the count always matches the bits.
+    fn release(&mut self, page: u32) {
+        if page < self.pages {
+            let (w, bit) = (page as usize / 64, 1u64 << (page % 64));
+            self.free += u32::from(self.bits[w] & bit == 0);
+            self.bits[w] |= bit;
+        }
+    }
+}
+
+/// The page allocator: the in-memory free set behind one mutex.
 #[derive(Debug)]
 pub struct Allocator {
-    state: Mutex<Superblock>,
+    state: Mutex<FreeSet>,
 }
 
 impl Allocator {
-    /// Wrap an already-valid superblock (from `format` or `open`).
-    pub fn new(sb: Superblock) -> Allocator {
+    /// An allocator over `pages` pages whose free pages are `free`. Ids
+    /// `>= pages` are ignored and repeats count once, so the count
+    /// always matches the bits. The cursor starts at page 0.
+    pub fn new(pages: u32, free: impl IntoIterator<Item = u32>) -> Allocator {
+        let mut set = FreeSet {
+            pages,
+            bits: vec![0; (pages as usize).div_ceil(64).max(1)],
+            free: 0,
+            cursor: 0,
+        };
+        for p in free {
+            set.release(p);
+        }
         Allocator {
-            state: Mutex::new(sb),
+            state: Mutex::new(set),
         }
     }
 
     /// The single allocator-lock acquisition site. Poisoning is
-    /// recovered by taking the inner state: every mutation commits to
-    /// memory only after its superblock write succeeded, so the state a
-    /// panicking thread left behind is the last committed one.
-    fn lock_state(&self) -> MutexGuard<'_, Superblock> {
+    /// recovered by taking the inner state: every mutation keeps the
+    /// bits and the count in step, so any state a panicking thread left
+    /// behind is consistent.
+    fn lock_state(&self) -> MutexGuard<'_, FreeSet> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Current superblock mirror.
-    pub fn superblock(&self) -> Superblock {
-        *self.lock_state()
-    }
-
-    /// Free pages currently on the list.
+    /// Free pages.
     pub fn free_pages(&self) -> u32 {
-        self.lock_state().free_count
+        self.lock_state().free
     }
 
-    /// Pop one page off the free list.
-    pub fn allocate(&self, dev: &ShardedPcmDevice) -> Result<u32, StoreError> {
-        self.allocate_ctx(dev, NO_CTX, &mut OpCost::default())
-    }
-
-    /// [`Allocator::allocate`] under a correlation id: the free-list
-    /// node read and the superblock write-through carry `ctx` and are
-    /// charged to `cost` (index traffic if `ctx` is index-flagged).
-    pub(crate) fn allocate_ctx(
-        &self,
-        dev: &ShardedPcmDevice,
-        ctx: u64,
-        cost: &mut OpCost,
-    ) -> Result<u32, StoreError> {
-        let mut st = self.lock_state();
-        let page = pop_free(dev, &mut st, ctx, cost)?;
-        write_super(dev, *st, ctx, cost)?;
-        Ok(page)
-    }
-
-    /// Pop `n` pages in one critical section. On exhaustion the pages
-    /// already popped are pushed back and `StoreFull` is returned, so a
-    /// failed allocation leaks nothing.
-    pub fn allocate_chain(&self, dev: &ShardedPcmDevice, n: usize) -> Result<Vec<u32>, StoreError> {
-        self.allocate_chain_ctx(dev, n, NO_CTX, &mut OpCost::default())
-    }
-
-    /// [`Allocator::allocate_chain`] under a correlation id.
-    pub(crate) fn allocate_chain_ctx(
-        &self,
-        dev: &ShardedPcmDevice,
-        n: usize,
-        ctx: u64,
-        cost: &mut OpCost,
-    ) -> Result<Vec<u32>, StoreError> {
-        let mut st = self.lock_state();
-        if (st.free_count as usize) < n {
-            return Err(StoreError::StoreFull);
-        }
-        let mut pages = Vec::with_capacity(n);
-        for _ in 0..n {
-            match pop_free(dev, &mut st, ctx, cost) {
-                Ok(p) => pages.push(p),
-                Err(e) => {
-                    for &p in pages.iter().rev() {
-                        push_free(dev, &mut st, p, ctx, cost)?;
-                    }
-                    write_super(dev, *st, ctx, cost)?;
-                    return Err(e);
-                }
+    /// The free page ids, ascending.
+    pub fn free_set(&self) -> Vec<u32> {
+        let st = self.lock_state();
+        let mut out = Vec::with_capacity(st.free as usize);
+        for (w, &word) in st.bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                out.push((w * 64) as u32 + rest.trailing_zeros());
+                rest &= rest - 1;
             }
         }
-        write_super(dev, *st, ctx, cost)?;
-        Ok(pages)
+        out
     }
 
-    /// Push a page back onto the free list.
-    pub fn free(&self, dev: &ShardedPcmDevice, page: u32) -> Result<(), StoreError> {
+    /// Take `n` pages next-fit in one critical section, or none at all
+    /// ([`StoreError::StoreFull`]) when fewer than `n` are free. The
+    /// count matches the bits, so `n <= free` finds `n` pages.
+    pub fn allocate_chain(&self, n: usize) -> Result<Vec<u32>, StoreError> {
         let mut st = self.lock_state();
-        let cost = &mut OpCost::default();
-        push_free(dev, &mut st, page, NO_CTX, cost)?;
-        write_super(dev, *st, NO_CTX, cost)?;
-        Ok(())
-    }
-
-    /// Push a whole chain of pages back in one critical section.
-    pub fn free_chain(&self, dev: &ShardedPcmDevice, pages: &[u32]) -> Result<(), StoreError> {
-        self.free_chain_ctx(dev, pages, NO_CTX, &mut OpCost::default())
-    }
-
-    /// [`Allocator::free_chain`] under a correlation id.
-    pub(crate) fn free_chain_ctx(
-        &self,
-        dev: &ShardedPcmDevice,
-        pages: &[u32],
-        ctx: u64,
-        cost: &mut OpCost,
-    ) -> Result<(), StoreError> {
-        if pages.is_empty() {
-            return Ok(());
+        if (st.free as usize) < n {
+            return Err(StoreError::StoreFull);
         }
+        Ok((0..n).filter_map(|_| st.take_next()).collect())
+    }
+
+    /// Return pages to the free set (see [`Allocator::new`] for ids
+    /// that are already free or out of range).
+    pub fn free_chain(&self, pages: &[u32]) {
         let mut st = self.lock_state();
         for &p in pages {
-            push_free(dev, &mut st, p, ctx, cost)?;
+            st.release(p);
         }
-        write_super(dev, *st, ctx, cost)?;
-        Ok(())
     }
-}
-
-/// Pop the head free page, following its on-device `next` link.
-fn pop_free(
-    dev: &ShardedPcmDevice,
-    st: &mut Superblock,
-    ctx: u64,
-    cost: &mut OpCost,
-) -> Result<u32, StoreError> {
-    let head = st.free_head;
-    if head == NO_PAGE || st.free_count == 0 {
-        return Err(StoreError::StoreFull);
-    }
-    let (report, wait_ns) = dev
-        .read_block_ctx(head as usize, ctx)
-        .map_err(|e| read_failure(head, e))?;
-    cost.charge_read(ctx, wait_ns);
-    let node = Page::decode(&report.data)
-        .map_err(|defect| StoreError::CorruptPage { page: head, defect })?;
-    if node.page_type != PageType::Free {
-        return Err(StoreError::CorruptPage {
-            page: head,
-            defect: PageDefect::WrongPage,
-        });
-    }
-    st.free_head = node.next;
-    st.free_count -= 1;
-    Ok(head)
-}
-
-/// Write `page` as a free-list node pointing at the current head, then
-/// advance the head.
-fn push_free(
-    dev: &ShardedPcmDevice,
-    st: &mut Superblock,
-    page: u32,
-    ctx: u64,
-    cost: &mut OpCost,
-) -> Result<(), StoreError> {
-    let mut node = Page::empty(PageType::Free);
-    node.next = st.free_head;
-    let (rep, wait_ns) = dev
-        .write_block_ctx(page as usize, &node.encode(), ctx)
-        .map_err(StoreError::from)?;
-    cost.charge_write(ctx, wait_ns, dev.write_busy_window_ns(&rep));
-    st.free_head = page;
-    st.free_count += 1;
-    Ok(())
-}
-
-/// Write-through: seal the superblock mirror onto page 0.
-fn write_super(
-    dev: &ShardedPcmDevice,
-    sb: Superblock,
-    ctx: u64,
-    cost: &mut OpCost,
-) -> Result<(), StoreError> {
-    let (rep, wait_ns) = dev
-        .write_block_ctx(0, &sb.to_page().encode(), ctx)
-        .map_err(StoreError::from)?;
-    cost.charge_write(ctx, wait_ns, dev.write_busy_window_ns(&rep));
-    Ok(())
-}
-
-/// Chain pages `first..pages` into a fresh free list on the device and
-/// return the matching superblock fields (used by `format`).
-pub(crate) fn format_free_list(
-    dev: &ShardedPcmDevice,
-    first: u32,
-    pages: u32,
-) -> Result<(u32, u32), StoreError> {
-    for i in first..pages {
-        let mut node = Page::empty(PageType::Free);
-        node.next = if i + 1 < pages { i + 1 } else { NO_PAGE };
-        dev.write_block(i as usize, &node.encode())
-            .map_err(StoreError::from)?;
-    }
-    let head = if first < pages { first } else { NO_PAGE };
-    Ok((head, pages.saturating_sub(first)))
 }
 
 #[cfg(test)]
@@ -295,8 +212,6 @@ mod tests {
         let sb = Superblock {
             pages: 128,
             dir_buckets: 16,
-            free_head: 17,
-            free_count: 110,
         };
         let page = sb.to_page();
         let decoded = Page::decode(&page.encode()).unwrap();
@@ -308,8 +223,6 @@ mod tests {
         let sb = Superblock {
             pages: 8,
             dir_buckets: 2,
-            free_head: NO_PAGE,
-            free_count: 0,
         };
         let mut page = sb.to_page();
         page.payload[0] ^= 0xFF;
@@ -324,5 +237,39 @@ mod tests {
             Superblock::from_page(&page),
             Err(StoreError::BadVersion(99))
         );
+
+        // A version-1 superblock (28 bytes: it also held the free-list
+        // head and count) is reported as its version, not as corrupt.
+        let mut page = sb.to_page();
+        page.payload[8..12].copy_from_slice(&1u32.to_le_bytes());
+        page.len = 28;
+        assert_eq!(Superblock::from_page(&page), Err(StoreError::BadVersion(1)));
+    }
+
+    #[test]
+    fn next_fit_reuses_freed_pages_last() {
+        let alloc = Allocator::new(200, 10..200);
+        assert_eq!(alloc.free_pages(), 190);
+        assert_eq!(alloc.allocate_chain(3), Ok(vec![10, 11, 12]));
+        alloc.free_chain(&[10, 11]);
+        // The cursor moves on past the freed pages and wraps to them only
+        // after the rest of the free space, crossing word boundaries.
+        assert_eq!(alloc.allocate_chain(2), Ok(vec![13, 14]));
+        let rest = alloc.allocate_chain(187).unwrap();
+        assert_eq!(rest[..2], [15, 16]);
+        assert_eq!(rest[rest.len() - 3..], [199, 10, 11]);
+        assert_eq!(alloc.free_pages(), 0);
+        assert_eq!(alloc.allocate_chain(1), Err(StoreError::StoreFull));
+    }
+
+    #[test]
+    fn double_free_and_out_of_range_keep_the_count_exact() {
+        let alloc = Allocator::new(70, [1, 2, 69, 70, 2]);
+        assert_eq!(alloc.free_set(), vec![1, 2, 69]);
+        alloc.free_chain(&[1, 5, 5, 100, 500]);
+        assert_eq!(alloc.free_set(), vec![1, 2, 5, 69]);
+        assert_eq!(alloc.free_pages(), 4);
+        assert_eq!(alloc.allocate_chain(5), Err(StoreError::StoreFull));
+        assert_eq!(alloc.free_pages(), 4, "a refused allocation takes nothing");
     }
 }

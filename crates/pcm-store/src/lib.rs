@@ -8,10 +8,14 @@
 //! * [`page`] — fixed 64-byte pages (one per device block) with a
 //!   CRC32-checked header, so a drifted codeword that slips past the
 //!   block layer's ECC is still caught before bytes reach a caller;
-//! * [`alloc`] — explicit allocation from an on-device free list
-//!   rooted in the superblock (writes never implicitly allocate);
+//! * [`alloc`] — explicit allocation from an in-memory free set, one
+//!   bit per page, handed out next-fit (writes never implicitly
+//!   allocate); nothing about free space is stored on the device;
+//! * [`check`] — the reachability walk over the page graph: `open`
+//!   derives the free set from it, and [`PcmStore::check`] reports on
+//!   it ([`CheckReport`]);
 //! * [`directory`] — a hash-directory index at fixed page ids, with
-//!   free-list-backed overflow chains;
+//!   overflow chains of allocated index pages;
 //! * [`store`] — [`PcmStore`]: the serving surface, striped bucket
 //!   locks over concurrent sessions, every failure a typed
 //!   [`StoreError`] (corruption is [`StoreError::CorruptPage`] — the
@@ -37,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+pub mod check;
 pub mod crc;
 pub mod directory;
 pub mod error;
@@ -45,6 +50,7 @@ pub mod store;
 pub mod workload;
 
 pub use alloc::{Allocator, Superblock};
+pub use check::CheckReport;
 pub use error::StoreError;
 pub use page::{Page, PageDefect, PageType, NO_PAGE, PAGE_BYTES, PAGE_PAYLOAD_BYTES};
 pub use store::{

@@ -3,7 +3,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  crc32 over bytes 4..64 (little-endian)
-//!      4     1  page type (free / super / index / data)
+//!      4     1  page type (1 super / 2 index / 3 data)
 //!      5     1  flags (bit 0: head of a data chain)
 //!      6     2  len — payload bytes in use (LE)
 //!      8     8  key — the KV key this page belongs to (LE; 0 if n/a)
@@ -35,8 +35,6 @@ pub const FLAG_CHAIN_HEAD: u8 = 1;
 /// What a page is used for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageType {
-    /// A member of the free list (`next` = next free page).
-    Free,
     /// The superblock (page 0).
     Super,
     /// A hash-directory bucket or overflow page.
@@ -48,7 +46,6 @@ pub enum PageType {
 impl PageType {
     fn code(self) -> u8 {
         match self {
-            PageType::Free => 0,
             PageType::Super => 1,
             PageType::Index => 2,
             PageType::Data => 3,
@@ -57,7 +54,6 @@ impl PageType {
 
     fn from_code(code: u8) -> Option<PageType> {
         match code {
-            0 => Some(PageType::Free),
             1 => Some(PageType::Super),
             2 => Some(PageType::Index),
             3 => Some(PageType::Data),

@@ -4,9 +4,10 @@
 //!
 //! * page 0 — superblock (see [`crate::alloc::Superblock`]);
 //! * pages `1 ..= dir_buckets` — fixed hash-directory bucket pages;
-//! * everything else — free-list / data / overflow-index pages,
-//!   explicitly allocated ([`crate::alloc::Allocator`]); a write never
-//!   implicitly allocates.
+//! * everything else — data and overflow-index pages, explicitly
+//!   allocated from the in-memory free set ([`crate::alloc::Allocator`]);
+//!   a write never implicitly allocates. The free set is not stored:
+//!   `open` derives it by walking the page graph ([`crate::check`]).
 //!
 //! Values span `ceil(len / 44)` data pages chained via `next`; the head
 //! page carries [`FLAG_CHAIN_HEAD`]. Every page read is CRC-verified
@@ -16,13 +17,15 @@
 //! ## Concurrency
 //!
 //! A directory op locks exactly one bucket **stripe** (bucket id modulo
-//! the stripe count); the allocator lock nests inside a stripe, and the
-//! device's bank locks nest innermost. No path acquires a second stripe
-//! or a stripe from inside the allocator, so the lock order is acyclic.
+//! the stripe count); the allocator lock nests inside a stripe and is
+//! never held across device I/O, and the device's bank locks nest
+//! innermost under the stripe. No path acquires a second stripe or a
+//! stripe from inside the allocator, so the lock order is acyclic.
 //! Within a stripe, ops on its buckets serialize; ops on different
 //! stripes proceed concurrently bank-contention permitting.
 
-use crate::alloc::{format_free_list, Allocator, Superblock};
+use crate::alloc::{Allocator, Superblock};
+use crate::check::{read, CheckReport, Walk};
 use crate::directory::{bucket_of, bucket_page, entries, mix64, set_entries, ENTRIES_PER_PAGE};
 use crate::error::{read_failure, StoreError};
 use crate::page::{Page, PageDefect, PageType, FLAG_CHAIN_HEAD, NO_PAGE, PAGE_PAYLOAD_BYTES};
@@ -71,17 +74,17 @@ pub const ANON_KV_STREAM: u64 = 0x1FFF_FFFF;
 
 /// Device reads/writes one KV op issued (drives span durations and the
 /// "pages touched" trace payload), split by what the pages were for:
-/// index (directory walks, allocator superblock/free-list traffic)
-/// versus value data, plus the scrub-debt stall the op drained.
+/// index (directory and overflow index pages) versus value data, plus
+/// the scrub-debt stall the op drained.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct OpCost {
     /// Value-chain page reads.
     pub data_reads: u64,
     /// Value-chain page writes.
     pub data_writes: u64,
-    /// Directory/allocator page reads.
+    /// Directory page reads.
     pub index_reads: u64,
-    /// Directory/allocator page writes (incl. superblock, free list).
+    /// Directory page writes.
     pub index_writes: u64,
     /// Busy ns of the write spans issued. Accumulated (not derived
     /// from the count) because a retried program runs longer than the
@@ -164,6 +167,7 @@ enum Slot {
 pub struct PcmStore {
     dev: ShardedPcmDevice,
     alloc: Allocator,
+    pages: u32,
     dir_buckets: u32,
     stripes: Vec<Mutex<()>>,
     /// Sequence counter for the [`ANON_KV_STREAM`] correlation stream.
@@ -210,7 +214,8 @@ impl StoreSession<'_> {
 }
 
 impl PcmStore {
-    /// Format `dev` with a fresh, empty store and open it.
+    /// Format `dev` with a fresh, empty store and open it: only the
+    /// directory pages and then the superblock are written.
     pub fn format(dev: ShardedPcmDevice, config: StoreConfig) -> Result<PcmStore, StoreError> {
         let blocks = dev.blocks();
         if blocks >= NO_PAGE as usize {
@@ -233,29 +238,24 @@ impl PcmStore {
             dev.write_block(bucket_page(b) as usize, &p.encode())
                 .map_err(StoreError::from)?;
         }
-        let first_free = 1 + dir_buckets;
-        let (free_head, free_count) = format_free_list(&dev, first_free, pages)?;
-        let sb = Superblock {
-            pages,
-            dir_buckets,
-            free_head,
-            free_count,
-        };
+        let sb = Superblock { pages, dir_buckets };
         dev.write_block(0, &sb.to_page().encode())
             .map_err(StoreError::from)?;
-        Ok(Self::assemble(dev, sb, config.stripes))
+        let alloc = Allocator::new(pages, sb.fixed_pages()..pages);
+        Ok(Self::assemble(dev, sb, alloc, config.stripes))
     }
 
-    /// Open an already-formatted device, validating the superblock.
+    /// Open an already-formatted device: validate the superblock, then
+    /// walk the page graph; every page it does not reach is free. A page
+    /// that fails verification is quarantined (kept used, not followed),
+    /// so it fails only the keys that run through it.
     pub fn open(dev: ShardedPcmDevice) -> Result<PcmStore, StoreError> {
         Self::open_with(dev, StoreConfig::default().stripes)
     }
 
     /// [`PcmStore::open`] with an explicit stripe count.
     pub fn open_with(dev: ShardedPcmDevice, stripes: usize) -> Result<PcmStore, StoreError> {
-        let report = dev.read_block(0).map_err(|e| read_failure(0, e))?;
-        let page = Page::decode(&report.data)
-            .map_err(|defect| StoreError::CorruptPage { page: 0, defect })?;
+        let (page, ()) = read(&dev, 0, |_| Ok(()))?;
         let sb = Superblock::from_page(&page)?;
         if sb.pages as usize != dev.blocks() {
             return Err(StoreError::TooSmall {
@@ -263,14 +263,27 @@ impl PcmStore {
                 have: dev.blocks(),
             });
         }
-        Ok(Self::assemble(dev, sb, stripes))
+        if sb.dir_buckets == 0 || sb.fixed_pages() >= sb.pages {
+            return Err(StoreError::CorruptPage {
+                page: 0,
+                defect: PageDefect::WrongPage,
+            });
+        }
+        let alloc = Allocator::new(sb.pages, Walk::run(&dev, sb).free());
+        Ok(Self::assemble(dev, sb, alloc, stripes))
     }
 
-    fn assemble(dev: ShardedPcmDevice, sb: Superblock, stripes: usize) -> PcmStore {
+    fn assemble(
+        dev: ShardedPcmDevice,
+        sb: Superblock,
+        alloc: Allocator,
+        stripes: usize,
+    ) -> PcmStore {
         let stripe_count = stripes.max(1).min(sb.dir_buckets as usize);
         PcmStore {
             dev,
-            alloc: Allocator::new(sb),
+            alloc,
+            pages: sb.pages,
             dir_buckets: sb.dir_buckets,
             stripes: (0..stripe_count).map(|_| Mutex::new(())).collect(),
             anon_seq: AtomicU64::new(0),
@@ -315,9 +328,33 @@ impl PcmStore {
         self.alloc.free_pages()
     }
 
-    /// The current superblock mirror (free-list head, counts, shape).
+    /// The store's shape, as its superblock records it.
     pub fn superblock(&self) -> Superblock {
-        self.alloc.superblock()
+        Superblock {
+            pages: self.pages,
+            dir_buckets: self.dir_buckets,
+        }
+    }
+
+    /// Walk the page graph as `open` does and compare it with the
+    /// allocator: pages reached twice, pages shared by two chains,
+    /// quarantined pages, and whether the allocator's free set is exactly
+    /// all pages − fixed − reachable. The superblock on the device must
+    /// still read as this store's. Run it while no op is in flight; a
+    /// concurrent put shows up as a disagreement.
+    pub fn check(&self) -> CheckReport {
+        let sb = self.superblock();
+        let mut walk = Walk::run(&self.dev, sb);
+        let wrong = StoreError::CorruptPage {
+            page: 0,
+            defect: PageDefect::WrongPage,
+        };
+        match read(&self.dev, 0, |_| Ok(())).and_then(|(p, ())| Superblock::from_page(&p)) {
+            Ok(found) if found == sb => {}
+            Ok(_) => walk.report.quarantined.push((0, wrong)),
+            Err(e) => walk.report.quarantined.push((0, e)),
+        }
+        walk.against(&self.alloc.free_set())
     }
 
     /// Directory bucket count.
@@ -363,7 +400,8 @@ impl PcmStore {
 
     /// Insert or replace `key`. Allocation is explicit: the new chain is
     /// allocated and fully written before the directory flips to it, and
-    /// the old chain (if any) is freed last.
+    /// the old chain (if any) is released in memory last. A put that
+    /// fails after allocating releases its new pages again.
     pub fn put(&self, key: u64, value: &[u8]) -> Result<(), StoreError> {
         self.put_with_ctx(key, value, self.auto_ctx())
     }
@@ -391,57 +429,21 @@ impl PcmStore {
             }
             Slot::Absent { .. } => Vec::new(),
         };
-        let chain = self.alloc.allocate_chain_ctx(
-            &self.dev,
-            pages_for_value(value.len()),
-            ictx,
-            &mut cost,
-        )?;
-        self.write_chain(key, value, &chain, ctx, &mut cost)?;
-        let new_head = chain[0];
-        match slot {
-            Slot::Found {
-                page_id,
-                mut page,
-                mut list,
-                pos,
-            } => {
-                list[pos].1 = new_head;
-                set_entries(&mut page, &list);
-                self.write_page(page_id, &page, ictx, &mut cost)?;
-            }
-            Slot::Absent {
-                page_id,
-                mut page,
-                mut list,
-            } => {
-                if list.len() < ENTRIES_PER_PAGE {
-                    list.push((key, new_head));
-                    set_entries(&mut page, &list);
-                    self.write_page(page_id, &page, ictx, &mut cost)?;
-                } else {
-                    // Chain a fresh overflow index page off the tail. If
-                    // allocation fails, return the value chain too so a
-                    // full store leaks nothing.
-                    let overflow = match self.alloc.allocate_ctx(&self.dev, ictx, &mut cost) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            self.alloc
-                                .free_chain_ctx(&self.dev, &chain, ictx, &mut cost)?;
-                            return Err(e);
-                        }
-                    };
-                    let mut fresh = Page::empty(PageType::Index);
-                    set_entries(&mut fresh, &[(key, new_head)]);
-                    self.write_page(overflow, &fresh, ictx, &mut cost)?;
-                    page.next = overflow;
-                    set_entries(&mut page, &list);
-                    self.write_page(page_id, &page, ictx, &mut cost)?;
-                }
-            }
+        // A full bucket tail takes one more page: a fresh overflow index
+        // page, allocated with the value chain.
+        let overflow = matches!(&slot, Slot::Absent { list, .. } if list.len() >= ENTRIES_PER_PAGE);
+        let n = pages_for_value(value.len());
+        let fresh = self.alloc.allocate_chain(n + usize::from(overflow))?;
+        let (chain, overflow) = fresh.split_at(n);
+        let linked = self
+            .write_chain(key, value, chain, ctx, &mut cost)
+            .and_then(|()| self.flip(slot, key, chain[0], overflow.first(), ictx, &mut cost));
+        if let Err(e) = linked {
+            // Nothing points at the new pages yet: hand them back.
+            self.alloc.free_chain(&fresh);
+            return Err(e);
         }
-        self.alloc
-            .free_chain_ctx(&self.dev, &old_pages, ictx, &mut cost)?;
+        self.alloc.free_chain(&old_pages);
         drop(guard);
         self.emit(OpKind::KvPut, key, bucket, ctx, &cost);
         Ok(())
@@ -472,14 +474,56 @@ impl PcmStore {
                 list.remove(pos);
                 set_entries(&mut page, &list);
                 self.write_page(page_id, &page, ictx, &mut cost)?;
-                self.alloc
-                    .free_chain_ctx(&self.dev, &pages, ictx, &mut cost)?;
+                self.alloc.free_chain(&pages);
                 true
             }
         };
         drop(guard);
         self.emit(OpKind::KvDelete, key, bucket, ctx, &cost);
         Ok(existed)
+    }
+
+    /// Point the directory at `head`: rewrite the key's entry in place,
+    /// append it to the bucket's tail page, or, when the tail is full,
+    /// write it into the fresh `overflow` index page and link that page
+    /// off the tail.
+    fn flip(
+        &self,
+        slot: Slot,
+        key: u64,
+        head: u32,
+        overflow: Option<&u32>,
+        ctx: u64,
+        cost: &mut OpCost,
+    ) -> Result<(), StoreError> {
+        match slot {
+            Slot::Found {
+                page_id,
+                mut page,
+                mut list,
+                pos,
+            } => {
+                list[pos].1 = head;
+                set_entries(&mut page, &list);
+                self.write_page(page_id, &page, ctx, cost)
+            }
+            Slot::Absent {
+                page_id,
+                mut page,
+                mut list,
+            } => {
+                if let Some(&overflow) = overflow {
+                    let mut fresh = Page::empty(PageType::Index);
+                    set_entries(&mut fresh, &[(key, head)]);
+                    self.write_page(overflow, &fresh, ctx, cost)?;
+                    page.next = overflow;
+                } else {
+                    list.push((key, head));
+                    set_entries(&mut page, &list);
+                }
+                self.write_page(page_id, &page, ctx, cost)
+            }
+        }
     }
 
     /// Read and CRC-verify one page under `ctx` (index-flagged ctx pages
@@ -542,7 +586,7 @@ impl PcmStore {
                 });
             }
             hops += 1;
-            if hops > self.alloc.superblock().pages {
+            if hops > self.pages {
                 // An index chain longer than the device is a cycle.
                 return Err(StoreError::CorruptPage {
                     page: page_id,
@@ -690,7 +734,7 @@ mod tests {
     }
 
     #[test]
-    fn put_delete_returns_pages_to_the_free_list() {
+    fn put_delete_returns_pages_to_the_free_set() {
         let s = store(128, 4);
         let baseline = s.free_pages();
         for k in 0..10u64 {
@@ -773,5 +817,83 @@ mod tests {
         for k in 0..stored {
             assert!(s.get(k).unwrap().is_some(), "key {k}");
         }
+        let report = s.check();
+        assert!(report.is_clean(), "{report:?}");
+    }
+
+    #[test]
+    fn a_failed_put_releases_its_new_pages() {
+        use pcm_device::block::THREE_LEVEL_BLOCK_CELLS as CELLS;
+        use pcm_device::{BlockError, PcmError};
+        let s = store(128, 4);
+        let first = s.superblock().fixed_pages() as usize;
+        // Next-fit hands out the first free page first: it becomes the
+        // head of a two-page chain, written after its tail.
+        for cell in first * CELLS..(first + 1) * CELLS {
+            s.device().inject_lifetime(cell, 1);
+        }
+        let free = s.free_pages();
+        assert_eq!(
+            s.put(3, &[7; 60]),
+            Err(StoreError::Device(PcmError::Block(
+                BlockError::WearoutExhausted
+            )))
+        );
+        assert_eq!(s.free_pages(), free);
+        let report = s.check();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.derived_free(), free);
+        assert_eq!(s.get(3).unwrap(), None);
+        // The cursor has moved past the worn page: the retry succeeds.
+        s.put(3, &[7; 60]).unwrap();
+        assert_eq!(s.get(3).unwrap().as_deref(), Some(&[7; 60][..]));
+        assert!(s.check().is_clean());
+    }
+
+    #[test]
+    fn reopen_derives_the_same_free_set() {
+        let s = store(256, 4);
+        for k in 0..40u64 {
+            s.put(k, &[k as u8; 100]).unwrap();
+        }
+        for k in (0..40u64).step_by(3) {
+            assert!(s.delete(k).unwrap());
+        }
+        let report = s.check();
+        assert!(report.is_clean(), "{report:?}");
+        let free = s.free_pages();
+        let s = PcmStore::open(s.into_device()).unwrap();
+        assert_eq!(s.free_pages(), free);
+        assert_eq!(s.check(), report);
+    }
+
+    #[test]
+    fn check_reports_a_page_shared_by_two_chains() {
+        let s = store(128, 4);
+        s.put(1, b"one").unwrap();
+        s.put(2, b"two").unwrap();
+        // Point key 2's directory entry at key 1's head page.
+        let dev = s.into_device();
+        let page_of = |key| {
+            let at = bucket_page(bucket_of(key, 8));
+            let page = Page::decode(&dev.read_block(at as usize).unwrap().data).unwrap();
+            (at, page)
+        };
+        let (_, one) = page_of(1);
+        let head_of_1 = entries(&one).unwrap().iter().find(|e| e.0 == 1).unwrap().1;
+        let (at, mut two) = page_of(2);
+        let mut list = entries(&two).unwrap();
+        list.iter_mut().find(|e| e.0 == 2).unwrap().1 = head_of_1;
+        set_entries(&mut two, &list);
+        dev.write_block(at as usize, &two.encode()).unwrap();
+
+        let s = PcmStore::open(dev).unwrap();
+        let report = s.check();
+        assert!(!report.is_clean());
+        assert_eq!(report.shared, vec![head_of_1]);
+        // Key 2's old head is unreachable now, so it is free again.
+        assert!(report.leaked.is_empty() && report.free_but_reachable.is_empty());
+        assert_eq!(s.get(1).unwrap().as_deref(), Some(&b"one"[..]));
+        assert!(matches!(s.get(2), Err(StoreError::CorruptPage { .. })));
     }
 }

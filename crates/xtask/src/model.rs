@@ -5,8 +5,8 @@
 //! the `stripe → allocator → bank` lock order, the atomic-ordering
 //! gate ROADMAP item 2 needs before the per-bank `Mutex` becomes
 //! CAS/seqlock state — are *inter-procedural*: whether `PcmStore::put`
-//! may acquire a bank lock depends on what `Allocator::allocate` does
-//! three calls away. This module recovers just enough structure for
+//! may acquire a bank lock while holding the allocator depends on what
+//! `Allocator::allocate_chain` does three calls away. This module recovers just enough structure for
 //! that, without a real parser:
 //!
 //! * [`impl_spans`] — which `impl` block (and so which type) a

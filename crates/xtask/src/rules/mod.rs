@@ -84,7 +84,7 @@ pub const DETERMINISM_CRATES: &[&str] = &[
 
 /// The crates that hold locks. `pcm-ecc` joined with its shared-table
 /// registries (`bch_registry`/`gf_registry`), which nest under the
-/// store's stripe/allocator/bank guards when decode runs inside a
+/// store's stripe and bank guards when decode runs inside a
 /// serving path — so the lock-order analysis must see them.
 /// `pcm-telemetry` joined with the series recorder's state mutex
 /// (`lock_series`), the innermost `telemetry` class: it is taken from

@@ -4,12 +4,16 @@
 //!    returns the correct value or a typed `CorruptPage` error — it
 //!    never silently returns wrong bytes (the page CRC sits above the
 //!    block stack's ECC precisely for errors that slip through).
-//! 2. The free list never hands the same page to two chains, no matter
-//!    how many concurrent sessions hammer put/delete.
+//! 2. One corrupt data page costs only its own key: `open` quarantines
+//!    it and every other key still reads its exact bytes.
+//! 3. The allocator never hands the same page to two chains, no matter
+//!    how many concurrent sessions hammer put/delete: `check()` finds
+//!    no page reached twice and a free set equal to the unreachable
+//!    pages.
 
 use mlc_pcm::device::{DeviceBuilder, ShardedPcmDevice};
 use mlc_pcm::store::workload::value_for;
-use mlc_pcm::store::{Page, PageType, PcmStore, StoreConfig, StoreError, NO_PAGE};
+use mlc_pcm::store::{Page, PageDefect, PageType, PcmStore, StoreConfig, StoreError, NO_PAGE};
 use proptest::prelude::*;
 
 const BLOCKS: usize = 256;
@@ -28,28 +32,6 @@ fn preload(store: &PcmStore, keys: u64, value_bytes: usize) {
     for k in 0..keys {
         store.put(k, &value_for(k, value_bytes)).unwrap();
     }
-}
-
-/// Walk the on-device free list, asserting it is acyclic with unique
-/// members that all decode as free pages; returns the member set.
-fn walk_free_list(store: &PcmStore) -> std::collections::BTreeSet<u32> {
-    let dev = store.device();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut at = store.superblock().free_head;
-    while at != NO_PAGE {
-        assert!(seen.insert(at), "free list revisits page {at}");
-        assert!(seen.len() <= BLOCKS, "free list cycles");
-        let raw = dev.read_block(at as usize).unwrap();
-        let page = Page::decode(&raw.data).unwrap();
-        assert_eq!(page.page_type, PageType::Free, "page {at} not free");
-        at = page.next;
-    }
-    assert_eq!(
-        seen.len() as u32,
-        store.free_pages(),
-        "free count disagrees with the walked list"
-    );
-    seen
 }
 
 proptest! {
@@ -101,13 +83,78 @@ proptest! {
     }
 }
 
-/// Concurrent put/delete churn from 1, 2, and 8 sessions: afterwards the
-/// free list must be duplicate-free and consistent with its count, and
-/// every surviving key must read back exactly its own bytes (a double
-/// allocation would splice one key's page into another's chain, which
-/// the per-page key field and CRC would expose).
+/// Flip one bit in the middle page of one key's three-page chain and
+/// reopen: `open` succeeds, the damaged key reports `CorruptPage`, and
+/// every other key reads its exact bytes, before and after more puts
+/// that may reuse the now-unreachable tail page.
 #[test]
-fn free_list_never_double_allocates_under_concurrency() {
+fn a_corrupt_data_page_fails_only_its_own_key() {
+    let (keys, value_bytes, victim) = (12u64, 100, 5u64);
+    let store = PcmStore::format(
+        device(3),
+        StoreConfig {
+            dir_buckets: 8,
+            stripes: 4,
+        },
+    )
+    .unwrap();
+    preload(&store, keys, value_bytes);
+    let dev = store.into_device();
+    let victim_pages: Vec<(usize, Page)> = (0..BLOCKS)
+        .filter_map(|b| {
+            let page = Page::decode(&dev.read_block(b).ok()?.data).ok()?;
+            (page.page_type == PageType::Data && page.key == victim).then_some((b, page))
+        })
+        .collect();
+    assert_eq!(victim_pages.len(), 3);
+    // The middle page is linked from the head and links to the tail.
+    let (middle, tail) = victim_pages
+        .iter()
+        .find(|(b, p)| p.next != NO_PAGE && victim_pages.iter().any(|(_, q)| q.next == *b as u32))
+        .map(|(b, p)| (*b, p.next as usize))
+        .unwrap();
+    let mut raw = dev.read_block(middle).unwrap().data;
+    raw[30] ^= 0x10;
+    dev.write_block(middle, &raw).unwrap();
+
+    let store = PcmStore::open(dev).unwrap();
+    let report = store.check();
+    assert_eq!(report.quarantined.len(), 1, "{report:?}");
+    assert_eq!(report.quarantined[0].0, middle as u32);
+    let read_all = |store: &PcmStore| {
+        for k in 0..keys {
+            match store.get(k) {
+                Ok(Some(v)) if k != victim => assert_eq!(v, value_for(k, value_bytes), "key {k}"),
+                Err(StoreError::CorruptPage { page, defect }) if k == victim => {
+                    assert_eq!((page, defect), (middle as u32, PageDefect::BadCrc))
+                }
+                other => panic!("key {k}: {other:?}"),
+            }
+        }
+    };
+    read_all(&store);
+    // The damaged chain's tail is unreachable, so it is free: rewrite
+    // every other key until next-fit has wrapped round the device and
+    // handed the tail out again, then read everything again.
+    for round in 0..8 {
+        for k in (0..keys).filter(|&k| k != victim) {
+            store.put(k, &value_for(k, value_bytes)).unwrap();
+        }
+        assert_eq!(store.check().quarantined.len(), 1, "round {round}");
+    }
+    let reused = Page::decode(&store.device().read_block(tail).unwrap().data).unwrap();
+    assert_ne!(reused.key, victim, "tail page {tail} was never reused");
+    read_all(&store);
+}
+
+/// Concurrent put/delete churn from 1, 2, and 8 sessions: afterwards
+/// `check()` must find every page reached at most once, no page shared
+/// by two chains, and an allocator free set equal to all pages − fixed −
+/// reachable; every surviving key must read back exactly its own bytes
+/// (a double allocation would splice one key's page into another's
+/// chain, which the per-page key field and CRC would expose).
+#[test]
+fn pages_are_never_double_allocated_under_concurrency() {
     for sessions in [1usize, 2, 8] {
         let dev = device(11 + sessions as u64);
         let store = PcmStore::format(
@@ -129,7 +176,7 @@ fn free_list_never_double_allocates_under_concurrency() {
                     for round in 0..rounds {
                         for k in base..base + keys_per_session {
                             // Vary value size so chains grow and shrink,
-                            // forcing constant free-list traffic.
+                            // forcing constant allocator traffic.
                             let len = 20 + ((k + round) % 3) as usize * 44;
                             store.put(k, &value_for(k ^ round, len)).unwrap();
                             if (k + round) % 3 == 0 {
@@ -141,7 +188,9 @@ fn free_list_never_double_allocates_under_concurrency() {
             }
         });
 
-        let free = walk_free_list(&store);
+        let report = store.check();
+        assert!(report.is_clean(), "{sessions} sessions: {report:?}");
+        assert_eq!(report.allocator_free, store.free_pages());
         // Every key that survived the final round reads back its exact
         // final bytes; a cross-linked chain could not do this.
         let last = rounds - 1;
@@ -160,10 +209,12 @@ fn free_list_never_double_allocates_under_concurrency() {
                 }
             }
         }
-        // Nothing on the free list is reachable as live data: every
-        // bucket page is fixed (1..=8) and not in the free set.
-        for b in 1..=store.dir_buckets() {
-            assert!(!free.contains(&b), "bucket page {b} leaked to free list");
-        }
+        // Nothing free is reachable as live data: the fixed pages
+        // (superblock and buckets 1..=8) are never free.
+        assert_eq!(report.fixed, 1 + store.dir_buckets());
+        assert_eq!(
+            report.allocator_free,
+            BLOCKS as u32 - report.fixed - report.reachable
+        );
     }
 }
